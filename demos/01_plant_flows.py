@@ -7,9 +7,7 @@ pump. This script prints the individual flow laws at a few states and
 then integrates the plant through a storm with the pump switched off.
 """
 
-import numpy as np
-
-from stormdp import PlantParams, f_rhs, q_drain, q_out, q_pump, q_pump_max, wet_12h
+from stormdp import PlantParams, q_drain, q_out, q_pump, q_pump_max, step, wet_12h
 
 p = PlantParams(tau=60.0)
 
@@ -39,8 +37,7 @@ for t in range(721):
     if t % 120 == 0:
         print(f"t = {t * p.tau / 3600.0:4.1f} h   x1 = {x1:7.3f} m^3   "
               f"x2 = {x2:6.3f} m^3   rain = {w.w_r[t] * 3.6e6:4.1f} mm/h")
-    f1, f2 = f_rhs(x1, x2, 0.0, w.w_r[t], w.w_e[t], p)
-    x1 = float(np.clip(x1 + p.tau * float(f1), 0.0, p.cap1))
-    x2 = float(np.clip(x2 + p.tau * float(f2), 0.0, p.cap2))
+    x1n, x2n, _, _ = step(x1, x2, 0.0, w.w_r[t], w.w_e[t], p)
+    x1, x2 = float(x1n), float(x2n)
 print(f"final: x1 = {x1:.3f}, x2 = {x2:.3f} (target {p.x2_target:.3f})")
 print("without pumping the bed relies on rain alone and drifts off target.")

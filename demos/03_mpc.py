@@ -21,7 +21,7 @@ from stormdp import (
     solve_mpc_qp,
     wet_12h,
 )
-from stormdp.plant import f_rhs
+from stormdp.plant import step
 
 p = PlantParams(tau=60.0)
 sp = SmoothParams(plant=p, eps=0.5)
@@ -44,14 +44,13 @@ print("\n== closed loop on the wet 12 h preset, dry-ish start ==")
 w = wet_12h(dt=p.tau)
 cfg = MpcConfig(plant=p, horizon=10, lam=1e-3)
 x1, x2 = 57.7, 2.42
-cs = initial_controller_state((x1, x2))
+cs = initial_controller_state()
 dev = 0.0
 for t in range(720):
     fc = np.column_stack([w.w_r[t:t + 10], w.w_e[t:t + 10]])
     u, cs = mpc_step(t, x1, x2, fc, cs, cfg)
-    f1, f2 = f_rhs(x1, x2, u, w.w_r[t], w.w_e[t], p)
-    x1 = float(np.clip(x1 + p.tau * float(f1), 0.0, p.cap1))
-    x2 = float(np.clip(x2 + p.tau * float(f2), 0.0, p.cap2))
+    x1n, x2n, _, _ = step(x1, x2, u, w.w_r[t], w.w_e[t], p)
+    x1, x2 = float(x1n), float(x2n)
     dev += abs(x2 - p.x2_target)
     if t % 120 == 0:
         print(f"t = {t * p.tau / 3600:4.1f} h   u = {u:5.3f}   "

@@ -25,7 +25,7 @@ from .linearize import (
     predict,
     solve_mpc_qp,
 )
-from .plant import Disturbance, PlantParams, State, f_rhs, q_drain, q_out, q_pump, q_pump_max, step
+from .plant import PlantParams, f_rhs, q_drain, q_out, q_pump, q_pump_max, step
 from .riskdp import (
     BruteForceResult,
     CostSpec,

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -29,16 +29,8 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 
 def _load_plant(args) -> PlantParams:
-    overrides = {}
-    if args.config is not None:
-        with open(args.config) as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ValueError("config must be a JSON object")
-        overrides = dict(data.get("plant", data))
-    if getattr(args, "fast", False):
-        overrides["tau"] = FAST_TAU
-    return PlantParams.from_dict(overrides)
+    p = PlantParams() if args.config is None else PlantParams.from_json(args.config)
+    return replace(p, tau=FAST_TAU) if getattr(args, "fast", False) else p
 
 
 def _default_n(args) -> int:
@@ -115,7 +107,7 @@ def cmd_dp_solve(args) -> int:
     grid = riskdp.Grid.uniform(*args.grid, p)
     actions = np.linspace(0.0, 1.0, args.actions)
     dm = riskdp.DisturbanceModel.from_series(weather.w_r[:n], weather.w_e[:n],
-                                             n_atoms=args.atoms, seed=args.seed)
+                                             n_atoms=args.atoms)
     costs = riskdp.tracking_cost(p, lam=args.lam)
     values, policy = riskdp.solve(n, grid, actions, dm, costs, p,
                                   riskdp.RiskParams(args.theta))
@@ -162,10 +154,9 @@ def cmd_lint(args) -> int:
     problems = []
     if args.config is None and args.weather is None:
         problems.append("nothing to lint: pass --config and/or --weather")
-    p = PlantParams()
     if args.config is not None:
         try:
-            p = _load_plant(args)
+            _load_plant(args)
             print(f"config ok: {args.config}")
         except Exception as exc:
             problems.append(f"config: {exc}")
@@ -180,7 +171,6 @@ def cmd_lint(args) -> int:
             problems.append(f"weather: {exc}")
     for msg in problems:
         print(f"error: {msg}", file=sys.stderr)
-    del p
     return 1 if problems else 0
 
 

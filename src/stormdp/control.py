@@ -35,19 +35,17 @@ class MpcConfig:
 
 @dataclass(frozen=True)
 class ControllerState:
-    """Receding-horizon bookkeeping: last control, disturbance history
-    (trailing window of length <= horizon), current operating point."""
+    """Receding-horizon bookkeeping: last control and the disturbance
+    history (trailing window of length <= horizon) with its mean."""
 
     u_bar: float
     w_bar: tuple[float, float]
     history: tuple[tuple[float, float], ...]
-    x_bar: tuple[float, float]
 
 
-def initial_controller_state(x0) -> ControllerState:
+def initial_controller_state() -> ControllerState:
     """Starting operating point: no pumping, no weather."""
-    return ControllerState(u_bar=0.0, w_bar=(0.0, 0.0), history=(),
-                           x_bar=(float(x0[0]), float(x0[1])))
+    return ControllerState(u_bar=0.0, w_bar=(0.0, 0.0), history=())
 
 
 def mpc_step(t: int, x1: float, x2: float, forecast, cs: ControllerState,
@@ -73,9 +71,7 @@ def mpc_step(t: int, x1: float, x2: float, forecast, cs: ControllerState,
 
     history = (cs.history + (tuple(forecast[0]),))[-cfg.horizon:]
     w_bar = tuple(np.mean(history, axis=0))
-    new_cs = ControllerState(u_bar=u, w_bar=w_bar, history=history,
-                             x_bar=(float(x1), float(x2)))
-    return u, new_cs
+    return u, ControllerState(u_bar=u, w_bar=w_bar, history=history)
 
 
 def onoff_step(x1: float, x2: float, v: float, p: PlantParams) -> float:

@@ -15,8 +15,6 @@ import numpy as np
 
 __all__ = [
     "PlantParams",
-    "State",
-    "Disturbance",
     "q_out",
     "q_pump_max",
     "q_pump",
@@ -113,36 +111,15 @@ class PlantParams:
 
     @classmethod
     def from_json(cls, path) -> "PlantParams":
+        """Read parameters from a JSON object, either flat or nested under
+        a ``"plant"`` key."""
         with open(path) as fh:
             data = json.load(fh)
+        if isinstance(data, dict):
+            data = data.get("plant", data)
         if not isinstance(data, dict):
             raise ValueError("plant config must be a JSON object")
         return cls.from_dict(data)
-
-
-@dataclass(frozen=True)
-class State:
-    """Water volumes in the two tanks (m^3)."""
-
-    x1: float
-    x2: float
-
-    def validate(self, p: PlantParams) -> "State":
-        if not (0.0 <= self.x1 <= p.cap1 and 0.0 <= self.x2 <= p.cap2):
-            raise ValueError(f"state {self} outside box [0,{p.cap1}] x [0,{p.cap2}]")
-        return self
-
-
-@dataclass(frozen=True)
-class Disturbance:
-    """Precipitation rate w_r (m/s) and evapotranspiration rate w_e (m^3/s)."""
-
-    w_r: float
-    w_e: float
-
-    def __post_init__(self):
-        if self.w_r < 0 or self.w_e < 0:
-            raise ValueError("disturbance rates must be nonnegative")
 
 
 def q_out(x1, p: PlantParams):
@@ -190,8 +167,14 @@ def f_rhs(x1, x2, u, w_r, w_e, p: PlantParams):
 
 
 def step(x1, x2, u, w_r, w_e, p: PlantParams):
-    """Forward-Euler step of length tau, clamped to [0, cap_i] per tank."""
+    """Forward-Euler step of length tau, clamped to [0, cap_i] per tank.
+
+    Returns (x1_next, x2_next, clamp1, clamp2), where ``clamp_i`` is the
+    volume the clamp added (positive) or removed (negative).
+    """
     f1, f2 = f_rhs(x1, x2, u, w_r, w_e, p)
-    x1n = np.clip(np.asarray(x1, dtype=float) + p.tau * f1, 0.0, p.cap1)
-    x2n = np.clip(np.asarray(x2, dtype=float) + p.tau * f2, 0.0, p.cap2)
-    return x1n, x2n
+    x1e = np.asarray(x1, dtype=float) + p.tau * f1
+    x2e = np.asarray(x2, dtype=float) + p.tau * f2
+    x1n = np.clip(x1e, 0.0, p.cap1)
+    x2n = np.clip(x2e, 0.0, p.cap2)
+    return x1n, x2n, x1n - x1e, x2n - x2e

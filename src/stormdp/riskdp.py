@@ -3,19 +3,19 @@ state/action/disturbance space.
 
 The backward recursion replaces the expectation backup with the entropic
 one, psi = (-2/theta) log E[exp((-theta/2) V_next)], computed with a
-max-shifted log-sum-exp. Nearest-node projection turns the deterministic
-plant plus finite disturbance atoms into an exactly finite MDP, which the
-brute-force policy enumeration verifies end to end.
+max-shifted log-sum-exp. Policy evaluation runs the same backup with the
+action fixed instead of minimized. Nearest-node projection turns the
+deterministic plant plus finite disturbance atoms into an exactly finite
+MDP, which the brute-force policy enumeration verifies end to end.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import plant as plant_mod
 from .plant import PlantParams
@@ -182,15 +182,12 @@ class DisturbanceModel:
         return self.p.size
 
     @classmethod
-    def from_series(cls, w_r_series, w_e_series, n_atoms: int = 3,
-                    seed: int | None = None) -> "DisturbanceModel":
+    def from_series(cls, w_r_series, w_e_series, n_atoms: int = 3) -> "DisturbanceModel":
         """Empirical quantile binning of a precipitation series.
 
         Sorts the rain samples into ``n_atoms`` equal-mass chunks; each
         atom is the chunk mean of (w_r, w_e) with the chunk's mass.
-        Deterministic; ``seed`` is accepted only so callers can record it.
         """
-        del seed
         w_r_series = np.asarray(w_r_series, dtype=float)
         w_e_series = np.asarray(w_e_series, dtype=float)
         if w_r_series.size == 0:
@@ -222,13 +219,6 @@ class CostSpec:
     stage: Callable
     terminal: Callable
     time_varying: bool = False
-
-    def bounds(self, grid: Grid, actions) -> tuple[float, float]:
-        """(min, max) of the stage cost over grid nodes x actions at t=0."""
-        acts = np.asarray(actions, dtype=float)
-        c = self.stage(0, grid.node_x1[:, None], grid.node_x2[:, None], acts[None, :])
-        c = np.broadcast_to(np.asarray(c, dtype=float), (grid.nnodes, acts.size))
-        return float(c.min()), float(c.max())
 
 
 def tracking_cost(p: PlantParams, lam: float = 1e-3) -> CostSpec:
@@ -284,7 +274,7 @@ class _Tables:
         u = self.actions[None, :, None]
         wr = dm.w_r[None, None, :]
         we = dm.w_e[None, None, :]
-        x1n, x2n = plant_mod.step(x1, x2, u, wr, we, p)
+        x1n, x2n, _, _ = plant_mod.step(x1, x2, u, wr, we, p)
         x1n = np.clip(x1n, grid.x1_nodes[0], grid.x1_nodes[-1])
         x2n = np.clip(x2n, grid.x2_nodes[0], grid.x2_nodes[-1])
         if mode == "nearest":
@@ -294,7 +284,6 @@ class _Tables:
             self.succ, self.weights = grid.multilinear(x1n, x2n)
         else:
             raise ValueError(f"unknown projection mode {mode!r}")
-        self.log_p = np.log(dm.p)
 
     def next_values(self, V_next: np.ndarray) -> np.ndarray:
         """V_next at projected successors, shape (nnodes, nA, natoms)."""
@@ -309,10 +298,17 @@ class _Tables:
                                (self.grid.nnodes, self.actions.size))
 
 
-def _psi(V_succ: np.ndarray, log_p: np.ndarray, theta: float) -> np.ndarray:
+def _logsumexp(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """log sum_k p_k exp(a[..., k]) over the last axis, shifted by the row
+    maximum so that no exponential overflows."""
+    m = a.max(axis=-1)
+    return m + np.log(np.exp(a - m[..., None]) @ p)
+
+
+def _psi(V_succ: np.ndarray, p: np.ndarray, theta: float) -> np.ndarray:
     """Entropic backup of successor values over the last (atom) axis."""
     gamma = -theta / 2.0
-    return logsumexp(gamma * V_succ + log_p, axis=-1) / gamma
+    return _logsumexp(gamma * V_succ, p) / gamma
 
 
 def entropic_backup(V_next, t: int, rm: RiskParams, grid: Grid, dm: DisturbanceModel,
@@ -327,14 +323,23 @@ def entropic_backup(V_next, t: int, rm: RiskParams, grid: Grid, dm: DisturbanceM
     return _backup(np.asarray(V_next, dtype=float), t, rm.theta, tables, costs)
 
 
-def _backup(V_next, t, theta, tables: _Tables, costs: CostSpec, cost_arr=None):
+def _q_values(V_next, t, theta, tables: _Tables, costs: CostSpec, cost_arr=None):
+    """c_t(x,u) + psi_t(x,u) for every node and action, shape (nnodes, nA).
+
+    ``theta=None`` backs up the plain expectation instead of psi.
+    """
+    V_succ = tables.next_values(V_next)
     if theta is None:
-        psi = (tables.next_values(V_next) * tables.dm.p).sum(axis=-1)
+        psi = (V_succ * tables.dm.p).sum(axis=-1)
     else:
-        psi = _psi(tables.next_values(V_next), tables.log_p, theta)
+        psi = _psi(V_succ, tables.dm.p, theta)
     if cost_arr is None:
         cost_arr = tables.stage_cost(costs, t)
-    v = cost_arr + psi
+    return cost_arr + psi
+
+
+def _backup(V_next, t, theta, tables: _Tables, costs: CostSpec, cost_arr=None):
+    v = _q_values(V_next, t, theta, tables, costs, cost_arr)
     if not np.all(np.isfinite(v)):
         raise ArithmeticError("non-finite value in entropic backup")
     mu = np.argmin(v, axis=1)
@@ -362,22 +367,17 @@ def solve(N: int, grid: Grid, actions, dm: DisturbanceModel, costs: CostSpec,
     return ValueTable(V=V, grid=grid), PolicyTable(mu=mu, actions=tables.actions, grid=grid)
 
 
-def _policy_log_W(policy_mu: np.ndarray, theta: float, tables: _Tables,
-                  costs: CostSpec, N: int) -> np.ndarray:
-    gamma = -theta / 2.0
+def _policy_values(policy_mu: np.ndarray, theta: float, tables: _Tables,
+                   costs: CostSpec, N: int) -> np.ndarray:
+    """Entropic values V_t of a fixed Markov policy, shape (N+1, nnodes):
+    the backup of ``solve`` with the action taken from the policy."""
     grid = tables.grid
-    log_W = np.empty((N + 1, grid.nnodes))
-    log_W[N] = gamma * np.asarray(costs.terminal(grid.node_x1, grid.node_x2), dtype=float)
     rows = np.arange(grid.nnodes)
+    V = np.empty((N + 1, grid.nnodes))
+    V[N] = np.asarray(costs.terminal(grid.node_x1, grid.node_x2), dtype=float)
     for t in range(N - 1, -1, -1):
-        c = tables.stage_cost(costs, t)[rows, policy_mu[t]]
-        if tables.weights is None:
-            succ_logW = log_W[t + 1][tables.succ[rows, policy_mu[t]]]
-        else:
-            succ_logW = (log_W[t + 1][tables.succ[rows, policy_mu[t]]]
-                         * tables.weights[rows, policy_mu[t]]).sum(axis=-1)
-        log_W[t] = gamma * c + logsumexp(tables.log_p[None, :] + succ_logW, axis=-1)
-    return log_W
+        V[t] = _q_values(V[t + 1], t, theta, tables, costs)[rows, policy_mu[t]]
+    return V
 
 
 def evaluate_policy_W(policy: PolicyTable, dm: DisturbanceModel, costs: CostSpec,
@@ -385,11 +385,12 @@ def evaluate_policy_W(policy: PolicyTable, dm: DisturbanceModel, costs: CostSpec
                       mode: str = "nearest") -> np.ndarray:
     """Multiplicative policy evaluation W_t(x) = E[exp(gamma Z_t) | x].
 
-    Computed in log-space; every returned value is strictly positive.
+    Computed as exp(gamma V_t) from the policy's entropic values; every
+    returned value is strictly positive.
     """
     tables = _Tables(policy.grid, policy.actions, dm, p, mode)
-    log_W = _policy_log_W(policy.mu, rm.theta, tables, costs, policy.horizon)
-    W = np.exp(log_W)
+    V = _policy_values(policy.mu, rm.theta, tables, costs, policy.horizon)
+    W = np.exp(rm.gamma * V)
     if not np.all(np.isfinite(W)) or np.any(W <= 0.0):
         raise ArithmeticError("policy evaluation left the positive finite range")
     return W
@@ -412,13 +413,12 @@ def brute_force_optimal(N: int, grid: Grid, actions, dm: DisturbanceModel,
     n_entries = grid.nnodes * N
     if n_actions ** n_entries > MAX_ENUMERATION:
         raise ValueError("policy enumeration too large for brute force")
-    scale = -2.0 / rm.theta
     values = []
     best_total = np.inf
     best_policy = None
     for flat in itertools.product(range(n_actions), repeat=n_entries):
         policy_mu = np.asarray(flat, dtype=np.int64).reshape(N, grid.nnodes)
-        v0 = scale * _policy_log_W(policy_mu, rm.theta, tables, costs, N)[0]
+        v0 = _policy_values(policy_mu, rm.theta, tables, costs, N)[0]
         values.append(v0)
         total = v0.sum()
         if total < best_total:
@@ -431,13 +431,16 @@ def brute_force_optimal(N: int, grid: Grid, actions, dm: DisturbanceModel,
 
 
 def risk_functional(Z, probs, theta: float) -> float:
-    """Entropic risk (-2/theta) log sum p exp((-theta/2) Z), stabilized."""
+    """Entropic risk (-2/theta) log sum p exp((-theta/2) Z), stabilized.
+
+    Outcomes with zero probability contribute nothing, whatever their value.
+    """
     if not theta < 0:
         raise ValueError("theta must be strictly negative")
     Z = np.asarray(Z, dtype=float)
     probs = np.asarray(probs, dtype=float)
-    gamma = -theta / 2.0
-    return float(logsumexp(gamma * Z, b=probs) / gamma)
+    kept = probs > 0
+    return float(_psi(Z[kept], probs[kept], theta))
 
 
 def lipschitz_regularize(h, dist, m: float) -> np.ndarray:

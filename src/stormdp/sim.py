@@ -212,29 +212,38 @@ def make_controller(spec: ControllerSpec, p: PlantParams, weather: WeatherSeries
         cfg = ctl.MpcConfig(plant=p, horizon=spec.horizon, lam=spec.lam, eps=spec.eps)
         if len(weather) < N + spec.horizon:
             raise ValueError("weather series too short for the MPC forecast window")
-        state_box = {"cs": None}
+        cs = ctl.initial_controller_state()
 
         def mpc(t, x1, x2):
-            if state_box["cs"] is None:
-                state_box["cs"] = ctl.initial_controller_state((x1, x2))
+            nonlocal cs
             fc = np.column_stack([weather.w_r[t:t + spec.horizon],
                                   weather.w_e[t:t + spec.horizon]])
-            u, state_box["cs"] = ctl.mpc_step(t, x1, x2, fc, state_box["cs"], cfg)
+            u, cs = ctl.mpc_step(t, x1, x2, fc, cs, cfg)
             return u
 
         return mpc
 
     if spec.kind == "dp":
-        grid = riskdp.Grid.uniform(*spec.grid_shape, p)
-        actions = np.linspace(0.0, 1.0, spec.n_actions)
-        dm = riskdp.DisturbanceModel.from_series(weather.w_r[:N], weather.w_e[:N],
-                                                 n_atoms=spec.n_atoms)
-        costs = riskdp.tracking_cost(p, lam=spec.lam)
-        _, policy = riskdp.solve(N, grid, actions, dm, costs, p,
-                                 riskdp.RiskParams(spec.theta))
-        return lambda t, x1, x2: ctl.dp_step(t, x1, x2, policy, grid)
+        return _dp_controller(_dp_policy(spec, p, weather, N))
 
     raise ValueError(f"unknown controller kind {spec.kind!r}")
+
+
+def _dp_policy(spec: ControllerSpec, p: PlantParams, weather: WeatherSeries,
+               N: int) -> riskdp.PolicyTable:
+    """Solve the DP of a ``dp`` spec; the policy does not depend on the start."""
+    grid = riskdp.Grid.uniform(*spec.grid_shape, p)
+    actions = np.linspace(0.0, 1.0, spec.n_actions)
+    dm = riskdp.DisturbanceModel.from_series(weather.w_r[:N], weather.w_e[:N],
+                                             n_atoms=spec.n_atoms)
+    costs = riskdp.tracking_cost(p, lam=spec.lam)
+    _, policy = riskdp.solve(N, grid, actions, dm, costs, p,
+                             riskdp.RiskParams(spec.theta))
+    return policy
+
+
+def _dp_controller(policy: riskdp.PolicyTable) -> Callable[[int, float, float], float]:
+    return lambda t, x1, x2: ctl.dp_step(t, x1, x2, policy, policy.grid)
 
 
 @dataclass(frozen=True)
@@ -259,14 +268,17 @@ class Trace:
         return self.t.size
 
 
-def run_scenario(sc: Scenario) -> Trace:
+def run_scenario(sc: Scenario, step_fn=None) -> Trace:
     """Closed loop: controller -> clamp -> exact non-smooth plant step.
 
-    Deterministic given its inputs; controller and model errors are
-    re-raised with the failing step index.
+    ``step_fn`` is a controller already built for ``sc.controller``;
+    without one, ``make_controller`` builds it. Deterministic given its
+    inputs; controller and model errors are re-raised with the failing
+    step index.
     """
     p = sc.plant
-    step_fn = make_controller(sc.controller, p, sc.weather, sc.N)
+    if step_fn is None:
+        step_fn = make_controller(sc.controller, p, sc.weather, sc.N)
     n = sc.N
     x1 = np.empty(n + 1)
     x2 = np.empty(n + 1)
@@ -275,18 +287,13 @@ def run_scenario(sc: Scenario) -> Trace:
     clamp1 = np.empty(n)
     clamp2 = np.empty(n)
     x1[0], x2[0] = sc.x0
-    target = p.x2_target
     for t in range(n):
         try:
             u[t] = np.clip(step_fn(t, x1[t], x2[t]), 0.0, 1.0)
-            f1, f2 = plant_mod.f_rhs(x1[t], x2[t], u[t], sc.weather.w_r[t],
-                                     sc.weather.w_e[t], p)
-            x1[t + 1] = np.clip(x1[t] + p.tau * f1, 0.0, p.cap1)
-            x2[t + 1] = np.clip(x2[t] + p.tau * f2, 0.0, p.cap2)
+            x1[t + 1], x2[t + 1], clamp1[t], clamp2[t] = plant_mod.step(
+                x1[t], x2[t], u[t], sc.weather.w_r[t], sc.weather.w_e[t], p)
         except Exception as exc:
             raise RuntimeError(f"simulation failed at step {t}: {exc}") from exc
-        clamp1[t] = x1[t + 1] - (x1[t] + p.tau * f1)
-        clamp2[t] = x2[t + 1] - (x2[t] + p.tau * f2)
         cost[t] = (x2[t] / p.a2 - p.z_veg) ** 2
     return Trace(t=p.tau * np.arange(n + 1), x1=x1, x2=x2, u=u,
                  w_r=sc.weather.w_r[:n].copy(), w_e=sc.weather.w_e[:n].copy(),
@@ -353,16 +360,23 @@ def compare(initial_states: dict[str, tuple[float, float]],
             N: int, p: PlantParams) -> list[ComparisonRow]:
     """Run every (start, controller) cell over the shared weather/horizon.
 
-    Failing cells are marked and the rest of the grid still runs.
+    Failing cells are marked and the rest of the grid still runs. Each
+    ``dp`` spec's policy is solved once and shared by every start.
     """
     rows = []
+    policies = {}
     for name, x0 in initial_states.items():
-        for spec in controllers:
+        for i, spec in enumerate(controllers):
             start = time.perf_counter()
             try:
                 sc = Scenario(name=name, x0=x0, N=N, controller=spec,
                               weather=weather, plant=p)
-                trace = run_scenario(sc)
+                step_fn = None
+                if spec.kind == "dp":
+                    if i not in policies:
+                        policies[i] = _dp_policy(spec, p, weather, N)
+                    step_fn = _dp_controller(policies[i])
+                trace = run_scenario(sc, step_fn)
                 rows.append(ComparisonRow(
                     scenario=name, controller=spec.kind, params=spec.label,
                     cumulative_deviation=cumulative_deviation(trace, p),

@@ -100,8 +100,8 @@ def successor_node(inst: TinyInstance, node: int, action_idx: int,
     x1 = float(g.node_x1[node])
     x2 = float(g.node_x2[node])
     u = float(inst.actions[action_idx])
-    x1n, x2n = plant_mod.step(x1, x2, u, float(inst.dm.w_r[atom_idx]),
-                              float(inst.dm.w_e[atom_idx]), inst.plant)
+    x1n, x2n, _, _ = plant_mod.step(x1, x2, u, float(inst.dm.w_r[atom_idx]),
+                                    float(inst.dm.w_e[atom_idx]), inst.plant)
     x1n = float(np.clip(x1n, g.x1_nodes[0], g.x1_nodes[-1]))
     x2n = float(np.clip(x2n, g.x2_nodes[0], g.x2_nodes[-1]))
     return int(g.nearest(x1n, x2n))

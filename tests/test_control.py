@@ -39,43 +39,42 @@ class TestOnOff:
 
 class TestMpc:
     def test_initial_state(self):
-        cs = initial_controller_state((50.0, 1.0))
+        cs = initial_controller_state()
         assert cs.u_bar == 0.0
         assert cs.w_bar == (0.0, 0.0)
         assert cs.history == ()
 
     def test_forecast_length_enforced(self):
         cfg = MpcConfig(plant=P)
-        cs = initial_controller_state((50.0, 1.0))
+        cs = initial_controller_state()
         with pytest.raises(ValueError):
             mpc_step(0, 50.0, 1.0, np.zeros((3, 2)), cs, cfg)
 
     def test_on_target_zero_forecast_gives_zero_control(self):
         cfg = MpcConfig(plant=P, horizon=10, lam=1e-3)
-        cs = initial_controller_state((50.0, P.x2_target))
+        cs = initial_controller_state()
         u, _ = mpc_step(0, 50.0, P.x2_target, np.zeros((10, 2)), cs, cfg)
         assert abs(u) <= 1e-6
 
     def test_huge_lambda_gives_zero_control(self):
         cfg = MpcConfig(plant=P, horizon=10, lam=1e9)
-        cs = initial_controller_state((100.0, 0.0))
+        cs = initial_controller_state()
         u, _ = mpc_step(0, 100.0, 0.0, np.full((10, 2), 1e-5), cs, cfg)
         assert abs(u) <= 1e-6
 
     def test_output_in_range_and_state_update(self):
         cfg = MpcConfig(plant=P, horizon=5)
-        cs = initial_controller_state((100.0, 0.0))
+        cs = initial_controller_state()
         fc = np.column_stack([np.full(5, 2e-6), np.full(5, 1e-5)])
         u, cs2 = mpc_step(0, 100.0, 0.0, fc, cs, cfg)
         assert 0.0 <= u <= 1.0
         assert cs2.u_bar == u
-        assert cs2.x_bar == (100.0, 0.0)
         assert cs2.history == ((2e-6, 1e-5),)
         assert cs2.w_bar == pytest.approx((2e-6, 1e-5))
 
     def test_history_window_and_running_mean(self):
         cfg = MpcConfig(plant=P, horizon=3)
-        cs = initial_controller_state((100.0, 0.0))
+        cs = initial_controller_state()
         seen = []
         for t in range(5):
             wr = 1e-6 * (t + 1)
@@ -89,8 +88,8 @@ class TestMpc:
     def test_deterministic(self):
         cfg = MpcConfig(plant=P, horizon=4)
         fc = np.column_stack([np.full(4, 1e-6), np.full(4, 2e-5)])
-        u1, s1 = mpc_step(0, 90.0, 2.0, fc, initial_controller_state((90.0, 2.0)), cfg)
-        u2, s2 = mpc_step(0, 90.0, 2.0, fc, initial_controller_state((90.0, 2.0)), cfg)
+        u1, s1 = mpc_step(0, 90.0, 2.0, fc, initial_controller_state(), cfg)
+        u2, s2 = mpc_step(0, 90.0, 2.0, fc, initial_controller_state(), cfg)
         assert u1 == u2 and s1 == s2
 
 
@@ -128,7 +127,7 @@ class TestAllControllersAtRest:
 
         cfg = MpcConfig(plant=P)
         u, _ = mpc_step(0, x1, x2, np.zeros((10, 2)),
-                        initial_controller_state((x1, x2)), cfg)
+                        initial_controller_state(), cfg)
         assert abs(u) <= 1e-6
 
         grid = Grid([0.0, x1, P.cap1], [0.0, x2, P.cap2])

@@ -9,9 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stormdp.plant import (
-    Disturbance,
     PlantParams,
-    State,
     f_rhs,
     q_drain,
     q_out,
@@ -56,14 +54,19 @@ class TestParams:
         assert p.a1 == 70.0
         assert p.cap1 == pytest.approx(2 * 70.0 * 1.29)
 
-    def test_state_and_disturbance_invariants(self):
-        State(0.0, 0.0).validate(P)
-        with pytest.raises(ValueError):
-            State(-1.0, 0.0).validate(P)
-        with pytest.raises(ValueError):
-            State(0.0, P.cap2 + 1.0).validate(P)
-        with pytest.raises(ValueError):
-            Disturbance(-1e-9, 0.0)
+    def test_from_json_nested_under_plant(self, tmp_path):
+        flat = tmp_path / "flat.json"
+        flat.write_text(json.dumps({"z_o": 1.29, "a1": 70.0}))
+        nested = tmp_path / "nested.json"
+        nested.write_text(json.dumps({"plant": {"z_o": 1.29, "a1": 70.0}}))
+        assert PlantParams.from_json(nested) == PlantParams.from_json(flat)
+
+    def test_from_json_rejects_non_objects(self, tmp_path):
+        for text in ("[1, 2]", '{"plant": 3.0}'):
+            cfg = tmp_path / "bad.json"
+            cfg.write_text(text)
+            with pytest.raises(ValueError, match="JSON object"):
+                PlantParams.from_json(cfg)
 
 
 class TestFlows:
@@ -143,14 +146,20 @@ class TestDynamics:
             assert float(f1 + f2) == pytest.approx(expected, abs=1e-15)
 
     def test_step_spot_value(self):
-        x1n, x2n = step(100.0, 0.0, 0.0, 0.0, 0.0, P)
+        x1n, x2n, clamp1, clamp2 = step(100.0, 0.0, 0.0, 0.0, 0.0, P)
         assert float(x1n) == pytest.approx(100.0 - 0.13263227995839974, rel=1e-12)
         assert float(x2n) == 0.0
+        assert float(clamp1) == 0.0 and float(clamp2) == 0.0
 
     def test_step_clamps(self):
-        x1n, x2n = step(0.0, P.cap2, 0.0, 1.0, 0.0, P)  # absurd rain
+        x1n, x2n, clamp1, clamp2 = step(0.0, P.cap2, 0.0, 1.0, 0.0, P)  # absurd rain
         assert float(x2n) == P.cap2
         assert 0.0 <= float(x1n) <= P.cap1
+        # the clamp logs exactly the volume the box cut off the Euler update
+        f1, f2 = f_rhs(0.0, P.cap2, 0.0, 1.0, 0.0, P)
+        assert float(clamp2) < 0.0
+        assert float(x2n - clamp2) == pytest.approx(P.cap2 + P.tau * float(f2))
+        assert float(x1n - clamp1) == pytest.approx(P.tau * float(f1))
 
     def test_step_monotone_in_rain(self):
         rng = np.random.default_rng(2)
@@ -166,9 +175,9 @@ class TestDynamics:
     def test_clamp_idempotent(self):
         rng = np.random.default_rng(3)
         for _ in range(30):
-            x1n, x2n = step(rng.uniform(0, 150), rng.uniform(0, 34.4),
-                            rng.uniform(0, 1), rng.uniform(0, 1e-3),
-                            rng.uniform(0, 1e-4), P)
+            x1n, x2n, _, _ = step(rng.uniform(0, 150), rng.uniform(0, 34.4),
+                                  rng.uniform(0, 1), rng.uniform(0, 1e-3),
+                                  rng.uniform(0, 1e-4), P)
             assert float(np.clip(x1n, 0, P.cap1)) == float(x1n)
             assert float(np.clip(x2n, 0, P.cap2)) == float(x2n)
 

@@ -98,9 +98,10 @@ class TestDisturbanceModel:
         rng = np.random.default_rng(5)
         w_r = rng.uniform(0, 1e-4, 500)
         w_e = rng.uniform(0, 1e-5, 500)
-        a = DisturbanceModel.from_series(w_r, w_e, n_atoms=3, seed=1)
-        b = DisturbanceModel.from_series(w_r, w_e, n_atoms=3, seed=2)
-        assert np.array_equal(a.w_r, b.w_r) and np.array_equal(a.p, b.p)
+        a = DisturbanceModel.from_series(w_r, w_e, n_atoms=3)
+        b = DisturbanceModel.from_series(w_r.copy(), w_e.copy(), n_atoms=3)
+        assert np.array_equal(a.w_r, b.w_r) and np.array_equal(a.w_e, b.w_e)
+        assert np.array_equal(a.p, b.p)
 
     def test_from_series_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -196,6 +197,16 @@ class TestSolve:
                                   inst.costs, inst.plant, rm)
         assert np.all(np.abs(values.V[0] - res.optimal_values) <= 1e-9)
 
+    def test_strong_risk_aversion_stays_finite(self):
+        # gamma = 25: exp(gamma V) spans e^0 to e^100 across the instance
+        inst = oracle_instance()
+        values, _ = solve(inst.N, inst.grid, inst.actions, inst.dm, inst.costs,
+                          inst.plant, RiskParams(-50.0))
+        assert np.all(np.isfinite(values.V))
+        res = brute_force_optimal(inst.N, inst.grid, inst.actions, inst.dm,
+                                  inst.costs, inst.plant, RiskParams(-50.0))
+        assert np.all(np.abs(values.V[0] - res.optimal_values) <= 1e-9)
+
     def test_extracted_policy_attains_value(self):
         inst = oracle_instance()
         rm = RiskParams(-1.5)
@@ -285,6 +296,28 @@ class TestRiskFunctional:
         z = np.array([0.0, 1.0, 4.0])
         p = np.array([0.2, 0.5, 0.3])
         assert risk_functional(z, p, theta) >= float(z @ p) - 1e-12
+
+    def test_spread_beyond_exp_overflow(self):
+        # gamma * (max Z - min Z) = 2.5 * 1000 is far past log(float max) ~ 709;
+        # exactly, psi = 1000 + log(0.5 + 0.5 e^-2500) / 2.5
+        got = risk_functional([0.0, 1000.0], [0.5, 0.5], -5.0)
+        assert math.isfinite(got)
+        assert got == pytest.approx(1000.0 + math.log(0.5) / 2.5, rel=1e-15)
+
+    def test_zero_probability_outcomes_ignored(self):
+        assert risk_functional([0.0, 1000.0], [1.0, 0.0], -5.0) == 0.0
+
+    @given(st.lists(st.tuples(st.floats(-30.0, 30.0), st.floats(0.01, 1.0)),
+                    min_size=1, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_naive_log_sum_exp(self, atoms):
+        # theta = -2 gives gamma = 1, so the risk is log sum p exp(z) itself;
+        # the absolute floor covers results that round to near zero
+        z = [a for a, _ in atoms]
+        w = [b for _, b in atoms]
+        p = [b / sum(w) for b in w]
+        naive = math.log(sum(pk * math.exp(zk) for zk, pk in zip(z, p)))
+        assert risk_functional(z, p, -2.0) == pytest.approx(naive, rel=1e-12, abs=1e-12)
 
 
 class TestRiskNeutralAndProperties:

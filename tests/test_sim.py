@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from stormdp import riskdp
 from stormdp.plant import PlantParams
 from stormdp.sim import (
     ControllerSpec,
@@ -220,3 +221,25 @@ class TestCompare:
         write_comparison_csv(rows, a)
         write_comparison_csv(rows, b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_dp_solved_once_per_compare(self, monkeypatch):
+        calls = []
+        solve = riskdp.solve
+
+        def counting_solve(*args, **kwargs):
+            calls.append(args[0])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(riskdp, "solve", counting_solve)
+        spec = ControllerSpec(kind="dp", grid_shape=(9, 9), n_actions=3)
+        starts = standard_initial_states(P)
+        w = wet_12h(dt=60.0)
+        rows = compare(starts, [spec], w, 50, P)
+        assert len(calls) == 1
+        assert [r.status for r in rows] == ["ok"] * 3
+        # the shared policy drives every start as its own solve would
+        for row, (name, x0) in zip(rows, starts.items()):
+            trace = run_scenario(Scenario(name=name, x0=x0, N=50, controller=spec,
+                                          weather=w, plant=P))
+            assert row.cumulative_deviation == cumulative_deviation(trace, P)
+        assert len(calls) == 4
