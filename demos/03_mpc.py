@@ -47,8 +47,7 @@ x1, x2 = 57.7, 2.42
 cs = initial_controller_state()
 dev = 0.0
 for t in range(720):
-    fc = np.column_stack([w.w_r[t:t + 10], w.w_e[t:t + 10]])
-    u, cs = mpc_step(t, x1, x2, fc, cs, cfg)
+    u, cs = mpc_step(t, x1, x2, w.forecast(t, 10), cs, cfg)
     x1n, x2n, _, _ = step(x1, x2, u, w.w_r[t], w.w_e[t], p)
     x1, x2 = float(x1n), float(x2n)
     dev += abs(x2 - p.x2_target)

@@ -150,23 +150,34 @@ def cmd_compare(args) -> int:
 
 
 def cmd_lint(args) -> int:
-    """Validate config and/or weather files; report all problems found."""
+    """Validate config and/or weather files; report all problems found.
+
+    The weather is loaded as ``simulate`` loads it (resampled to the
+    plant step, honouring ``--config`` and ``--fast``) and must cover the
+    horizon, so lint accepts a file exactly when ``simulate`` would.
+    """
     problems = []
     if args.config is None and args.weather is None:
         problems.append("nothing to lint: pass --config and/or --weather")
-    if args.config is not None:
-        try:
-            _load_plant(args)
+    try:
+        p = _load_plant(args)
+    except Exception as exc:
+        problems.append(f"config: {exc}")
+        p = None
+    else:
+        if args.config is not None:
             print(f"config ok: {args.config}")
-        except Exception as exc:
-            problems.append(f"config: {exc}")
-    if args.weather is not None:
+    if args.weather is not None and p is None:
+        problems.append("weather: not checked, the plant config did not load")
+    elif args.weather is not None:
         try:
-            series = sim.load_weather_csv(args.weather)
-            print(f"weather ok: {args.weather} ({len(series)} samples, "
-                  f"dt={series.dt:g} s)")
-            if len(series) < _default_n(args) + 1:
-                problems.append("weather: series shorter than the simulation horizon")
+            series = _load_weather(args, p)
+            # Scenario's own length rule: N + 1 samples at the plant step
+            sim.Scenario(name="lint", x0=(0.0, 0.0), N=_default_n(args),
+                         controller=ControllerSpec(kind="onoff"),
+                         weather=series, plant=p)
+            print(f"weather ok: {args.weather} ({len(series)} samples at "
+                  f"tau={p.tau:g} s)")
         except Exception as exc:
             problems.append(f"weather: {exc}")
     for msg in problems:

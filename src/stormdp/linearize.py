@@ -1,5 +1,11 @@
 """Operating-point linearization of the smooth plant and the condensed
-single-shot quadratic program behind the receding-horizon controller."""
+single-shot quadratic program behind the receding-horizon controller.
+
+The MPC cost reads only tank 2, so the horizon is condensed onto the x2
+channel: Markov parameters in a lower-triangular Toeplitz matrix and one
+free response (Jerez, Kerrigan & Constantinides, CDC-ECC 2011). The
+full-state ``predict`` and ``condensed_cost`` step the model directly and
+serve as independent oracles for the condensed solve."""
 
 from __future__ import annotations
 
@@ -106,31 +112,37 @@ def linearize_at(op: OperatingPoint, sp: SmoothParams) -> LinearModel:
 
 @dataclass(frozen=True)
 class CondensedHorizon:
-    """M steps of the affine model stacked into one affine map U -> Y.
+    """M steps of the affine model, condensed onto the tank-2 channel.
 
-    Y is the stacked state deviation prediction; U is the absolute control
-    sequence (the operating-point control is folded into the affine term),
-    so the R block penalizes the physical pump fraction directly.
+    The horizon cost sum_k (x2_k/a2 - z_veg)^2 + lam u_k^2 reads only
+    tank 2, so only its rows of the prediction are kept: the predicted
+    x2 deviations are ``G @ U + free``, with U the absolute control
+    sequence (the operating-point control is folded into the affine
+    term, so ``lam`` penalizes the physical pump fraction directly).
+    ``lm``, ``y0`` and ``w_dev`` are kept for the full-state ``predict``.
     """
 
-    M: int
-    A_stack: np.ndarray   # (2M, 2)
-    B_stack: np.ndarray   # (2M, M)
-    C_stack: np.ndarray   # (2M, 2M)
-    d_stack: np.ndarray   # (2M,)
-    Q: np.ndarray         # (2M, 2M), block diag, terminal weight = stage weight
-    R: np.ndarray         # (M, M) = lam * I
-    target: np.ndarray    # (2M,) per-stage deviation hitting x2 = a2 * z_veg
-    y0: np.ndarray        # (2,) current state deviation
-    w_dev: np.ndarray     # (2M,) stacked disturbance deviations
+    G: np.ndarray       # (M, M) lower-triangular Toeplitz, G[k, j] = (A^(k-j) B)_2
+    free: np.ndarray    # (M,) x2 deviation after steps 1..M with U = 0
+    lam: float
+    x2_ref: float       # x2 deviation hitting x2 = a2 * z_veg
+    a2: float
+    lm: LinearModel
+    y0: np.ndarray      # (2,) current state deviation
+    w_dev: np.ndarray   # (M, 2) disturbance deviations
+
+    @property
+    def M(self) -> int:
+        return self.free.size
 
 
 def condense(lm: LinearModel, M: int, y0, w_dev, lam: float,
              plant: PlantParams) -> CondensedHorizon:
-    """Stack M steps of ``lm`` into prediction matrices and cost blocks.
+    """Condense M steps of ``lm`` onto the x2 rows the cost reads.
 
-    The per-stage state weight selects the tank-2 channel scaled by
-    1/a2^2, so the quadratic cost equals sum (x2/a2 - z_veg)^2 + lam u^2.
+    One forward pass gives the x2 Markov parameters h_k = (A^k B)_2,
+    k = 0..M-1, and the x2 free response of x <- A x + C w_k + (b - B u_op)
+    from ``y0``; ``G`` is the lower-triangular Toeplitz matrix of the h_k.
     """
     if M < 1:
         raise ValueError("horizon M must be at least 1")
@@ -141,47 +153,44 @@ def condense(lm: LinearModel, M: int, y0, w_dev, lam: float,
     y0 = np.asarray(y0, dtype=float).reshape(2)
     w_dev = np.asarray(w_dev, dtype=float).reshape(M, 2)
 
-    A, B, C = lm.A, lm.B, lm.C
-    d = lm.b - (B[:, 0] * lm.op.u)  # affine term with absolute control folded in
-
-    A_stack = np.zeros((2 * M, 2))
-    B_stack = np.zeros((2 * M, M))
-    C_stack = np.zeros((2 * M, 2 * M))
-    d_stack = np.zeros(2 * M)
-    Ak = np.eye(2)
-    cum = np.zeros(2)
-    powers = [Ak]
+    A, B = lm.A, lm.B[:, 0]
+    # disturbance and affine term, with the absolute control folded in
+    drive = w_dev @ lm.C.T + (lm.b - B * lm.op.u)
+    h = np.empty(M)
+    free = np.empty(M)
+    AkB, x = B, y0
     for k in range(M):
-        cum = A @ cum + d
-        Ak = A @ Ak
-        powers.append(Ak)
-        A_stack[2 * k:2 * k + 2, :] = Ak
-        d_stack[2 * k:2 * k + 2] = cum
-        for j in range(k + 1):
-            blk = powers[k - j]
-            B_stack[2 * k:2 * k + 2, j] = (blk @ B)[:, 0]
-            C_stack[2 * k:2 * k + 2, 2 * j:2 * j + 2] = blk @ C
-
-    q_stage = np.array([[0.0, 0.0], [0.0, 1.0 / plant.a2 ** 2]])
-    Q = np.kron(np.eye(M), q_stage)
-    R = lam * np.eye(M)
-    target = np.tile([0.0, plant.x2_target - lm.op.x2], M)
-    return CondensedHorizon(M=M, A_stack=A_stack, B_stack=B_stack,
-                            C_stack=C_stack, d_stack=d_stack, Q=Q, R=R,
-                            target=target, y0=y0, w_dev=w_dev.reshape(-1))
+        h[k] = AkB[1]
+        AkB = A @ AkB
+        x = A @ x + drive[k]
+        free[k] = x[1]
+    n = np.arange(M)
+    G = np.tril(h[n[:, None] - n])
+    return CondensedHorizon(G=G, free=free, lam=float(lam),
+                            x2_ref=plant.x2_target - lm.op.x2, a2=plant.a2,
+                            lm=lm, y0=y0, w_dev=w_dev)
 
 
 def predict(ch: CondensedHorizon, U) -> np.ndarray:
-    """Stacked state-deviation prediction Y for a control sequence U."""
+    """Stacked state-deviation prediction Y = (x_1, ..., x_M) for a control
+    sequence U, stepped through the affine model (independent of ``G``)."""
     U = np.asarray(U, dtype=float).reshape(ch.M)
-    return ch.A_stack @ ch.y0 + ch.B_stack @ U + ch.C_stack @ ch.w_dev + ch.d_stack
+    lm = ch.lm
+    d = lm.b - lm.B[:, 0] * lm.op.u
+    Y = np.empty((ch.M, 2))
+    x = ch.y0
+    for k in range(ch.M):
+        x = lm.A @ x + lm.B[:, 0] * U[k] + lm.C @ ch.w_dev[k] + d
+        Y[k] = x
+    return Y.reshape(-1)
 
 
 def condensed_cost(ch: CondensedHorizon, U) -> float:
-    """Quadratic horizon cost J(U) = (Y - s)' Q (Y - s) + U' R U."""
+    """Quadratic horizon cost J(U) = sum_k (x2_k - s)^2 / a2^2 + lam U'U,
+    evaluated on ``predict``."""
     U = np.asarray(U, dtype=float).reshape(ch.M)
-    e = predict(ch, U) - ch.target
-    return float(e @ ch.Q @ e + U @ ch.R @ U)
+    e = predict(ch, U)[1::2] - ch.x2_ref
+    return float(e @ e / ch.a2 ** 2 + ch.lam * (U @ U))
 
 
 @dataclass(frozen=True)
@@ -197,9 +206,8 @@ def solve_mpc_qp(ch: CondensedHorizon) -> MpcSolution:
     The unclamped solution zeroes the cost gradient; a residual check
     guards against a near-singular normal matrix.
     """
-    H = ch.B_stack.T @ ch.Q @ ch.B_stack + ch.R
-    resid = ch.A_stack @ ch.y0 + ch.C_stack @ ch.w_dev + ch.d_stack - ch.target
-    g = ch.B_stack.T @ ch.Q @ resid
+    H = ch.lam * np.eye(ch.M) + ch.G.T @ ch.G / ch.a2 ** 2
+    g = ch.G.T @ (ch.free - ch.x2_ref) / ch.a2 ** 2
     try:
         u_free = np.linalg.solve(H, -g)
     except np.linalg.LinAlgError as exc:

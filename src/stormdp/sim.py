@@ -73,6 +73,14 @@ class WeatherSeries:
     def __len__(self) -> int:
         return self.t.size
 
+    def forecast(self, t: int, M: int) -> np.ndarray:
+        """(M, 2) rows of (w_r, w_e) for steps t..t+M-1; past the last
+        sample the forecast holds that sample."""
+        if t < 0:
+            raise ValueError("forecast start must be nonnegative")
+        idx = np.minimum(np.arange(t, t + M), self.t.size - 1)
+        return np.column_stack([self.w_r[idx], self.w_e[idx]])
+
     def resample(self, dt: float) -> "WeatherSeries":
         """Piecewise-linear resampling to step dt, endpoint-exact."""
         if dt <= 0:
@@ -134,12 +142,11 @@ def synth_storm(pulses, duration: float, dt: float,
     return WeatherSeries(t=t, w_r=w_r, w_e=np.full_like(t, w_e_base))
 
 
-def wet_12h(dt: float = 60.0, pad_steps: int = 16) -> WeatherSeries:
+def wet_12h(dt: float = 60.0) -> WeatherSeries:
     """Default synthetic wet-weather preset.
 
     Three pulses whose total depth equals a 5 mm/h x 4 h event (20 mm):
-    8 mm + 6 mm + 6 mm spread over 12 hours. ``pad_steps`` extends the
-    series past 12 h so forecasts at the final steps stay in range.
+    8 mm + 6 mm + 6 mm spread over 12 hours.
     """
     mmph = 1e-3 / 3600.0
     pulses = [
@@ -147,7 +154,7 @@ def wet_12h(dt: float = 60.0, pad_steps: int = 16) -> WeatherSeries:
         (4 * 3600.0, 6 * 3600.0, 3.0 * mmph),  # 6 mm
         (8 * 3600.0, 10 * 3600.0, 3.0 * mmph),  # 6 mm
     ]
-    return synth_storm(pulses, duration=12 * 3600.0 + pad_steps * dt, dt=dt)
+    return synth_storm(pulses, duration=12 * 3600.0, dt=dt)
 
 
 def standard_initial_states(p: PlantParams) -> dict[str, tuple[float, float]]:
@@ -210,15 +217,11 @@ def make_controller(spec: ControllerSpec, p: PlantParams, weather: WeatherSeries
 
     if spec.kind == "mpc":
         cfg = ctl.MpcConfig(plant=p, horizon=spec.horizon, lam=spec.lam, eps=spec.eps)
-        if len(weather) < N + spec.horizon:
-            raise ValueError("weather series too short for the MPC forecast window")
         cs = ctl.initial_controller_state()
 
         def mpc(t, x1, x2):
             nonlocal cs
-            fc = np.column_stack([weather.w_r[t:t + spec.horizon],
-                                  weather.w_e[t:t + spec.horizon]])
-            u, cs = ctl.mpc_step(t, x1, x2, fc, cs, cfg)
+            u, cs = ctl.mpc_step(t, x1, x2, weather.forecast(t, spec.horizon), cs, cfg)
             return u
 
         return mpc

@@ -114,3 +114,21 @@ class TestLint:
         code, _, err = run(["lint", "--weather", str(w)], capsys)
         assert code == 1
         assert "weather" in err
+
+
+@pytest.mark.parametrize("argv, ok", [
+    (["-N", "600"], True),
+    (["-N", "601"], False),
+    (["--fast", "-N", "10"], True),
+    (["--fast", "-N", "11"], False),
+], ids=["N600", "N601", "fast-N10", "fast-N11"])
+def test_lint_agrees_with_simulate(tmp_path, capsys, argv, ok):
+    # a 10-minute file, 60 s apart: 601 samples at tau = 1 s, 11 at --fast
+    w = tmp_path / "w.csv"
+    w.write_text("t_s,w_r_mps,w_e_m3ps\n"
+                 + "".join(f"{60 * i},1e-6,4e-5\n" for i in range(11)))
+    common = ["--weather", str(w), *argv]
+    lint, _, _ = run(["lint", *common], capsys)
+    onoff, _, _ = run(["simulate", "--controller", "onoff", *common], capsys)
+    mpc, _, _ = run(["simulate", "--controller", "mpc", *common], capsys)
+    assert (lint == 0) == (onoff == 0) == (mpc == 0) == ok

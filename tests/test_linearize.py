@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stormdp.linearize import (
+    MAX_HORIZON,
     LinearModel,
     OperatingPoint,
     condense,
@@ -113,19 +114,20 @@ class TestCondense:
     def test_m1_blocks(self):
         lm = synthetic_model([[0.9, 0.1], [0.0, 0.8]], [[0.2], [0.3]],
                              [[1.0, 0.0], [0.0, -1.0]], [0.5, -0.5])
-        ch = condense(lm, 1, [0.0, 0.0], [[0.0, 0.0]], 1e-3, P)
-        assert np.allclose(ch.A_stack, lm.A)
-        assert np.allclose(ch.B_stack, lm.B)
-        assert np.allclose(ch.d_stack, lm.b)
+        y0 = np.array([0.4, -0.2])
+        w = np.array([1e-3, 2e-3])
+        ch = condense(lm, 1, y0, [w], 1e-3, P)
+        assert np.allclose(ch.G, [[lm.B[1, 0]]])
+        x1 = lm.A @ y0 + lm.C @ w + lm.b
+        assert np.allclose(ch.free, [x1[1]])
 
     def test_identity_dynamics_blocks(self):
         lm = synthetic_model(np.eye(2), [[0.2], [0.3]], np.zeros((2, 2)),
                              [0.0, 0.0])
         ch = condense(lm, 3, [0.0, 0.0], np.zeros((3, 2)), 1e-3, P)
         for k in range(3):
-            assert np.allclose(ch.A_stack[2 * k:2 * k + 2], np.eye(2))
             for j in range(k + 1):
-                assert np.allclose(ch.B_stack[2 * k:2 * k + 2, j], lm.B[:, 0])
+                assert ch.G[k, j] == pytest.approx(lm.B[1, 0], rel=1e-12)
 
     def test_block_triangular(self):
         rng = np.random.default_rng(13)
@@ -133,9 +135,8 @@ class TestCondense:
         M = 5
         ch = condense(lm, M, rng.normal(size=2), rng.normal(size=(M, 2)),
                       1e-3, P)
-        for k in range(M):
-            assert np.allclose(ch.B_stack[2 * k:2 * k + 2, k + 1:], 0.0)
-        assert np.allclose(ch.R, 1e-3 * np.eye(M))
+        assert np.all(np.triu(ch.G, k=1) == 0.0)
+        assert ch.lam == 1e-3
 
     def test_prediction_matches_forward_recursion(self):
         rng = np.random.default_rng(14)
@@ -215,6 +216,28 @@ class TestSolveQp:
         sol = solve_mpc_qp(ch)
         assert np.allclose(sol.u, 0.0, atol=1e-12)
         assert not sol.clamped
+
+    @pytest.mark.parametrize("tau", [1.0, 60.0])
+    def test_matches_dense_reference_at_max_horizon(self, tau):
+        # Dense QP of the full 2M-state prediction, its response matrix
+        # read off ``predict`` on unit vectors: (B'QB + lam I) u = -B'Q r.
+        p = PlantParams(tau=tau)
+        rng = np.random.default_rng(19)
+        M = MAX_HORIZON
+        # full cistern, dry soil: the pump is open and u matters
+        op = OperatingPoint(x1=97.5, x2=2.42, u=0.3, w_r=1e-6, w_e=4e-5)
+        lm = linearize_at(op, SmoothParams(plant=p, eps=0.5))
+        ch = condense(lm, M, rng.normal(size=2), rng.normal(size=(M, 2)) * 1e-4,
+                      1e-3, p)
+        y_free = predict(ch, np.zeros(M))
+        B_full = np.column_stack([predict(ch, e) - y_free for e in np.eye(M)])
+        Q = np.kron(np.eye(M), np.diag([0.0, 1.0 / p.a2 ** 2]))
+        target = np.tile([0.0, p.x2_target - lm.op.x2], M)
+        H = B_full.T @ Q @ B_full + 1e-3 * np.eye(M)
+        u_ref = np.linalg.solve(H, -B_full.T @ Q @ (y_free - target))
+        u_free = solve_mpc_qp(ch).u_free
+        assert np.linalg.norm(u_ref) > 0.0
+        assert np.linalg.norm(u_free - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
 
     def test_clamping(self):
         rng = np.random.default_rng(18)

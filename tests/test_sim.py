@@ -46,6 +46,16 @@ class TestWeatherSeries:
         assert r.w_r[0] == 0.0 and r.w_r[-1] == pytest.approx(3.6e-3)
         assert r.w_r[1800] == pytest.approx(1.8e-3)
 
+    def test_forecast_holds_last_sample(self):
+        s = WeatherSeries(t=[0.0, 60.0, 120.0], w_r=[1.0, 2.0, 3.0],
+                          w_e=[4.0, 5.0, 6.0])
+        assert np.array_equal(s.forecast(0, 2), [[1.0, 4.0], [2.0, 5.0]])
+        assert np.array_equal(s.forecast(1, 4), [[2.0, 5.0], [3.0, 6.0],
+                                                 [3.0, 6.0], [3.0, 6.0]])
+        assert np.array_equal(s.forecast(5, 1), [[3.0, 6.0]])
+        with pytest.raises(ValueError):
+            s.forecast(-1, 2)
+
 
 class TestLoadWeatherCsv:
     def _write(self, tmp_path, text):
@@ -141,6 +151,14 @@ class TestScenarioAndTrace:
             Scenario(name="bad", x0=(50.0, 1.0), N=100,
                      controller=ControllerSpec(kind="onoff"),
                      weather=w, plant=P)
+
+    def test_mpc_runs_to_the_last_sample(self):
+        # the forecast window runs past the series; its tail holds the last sample
+        w = synth_storm([(0.0, 300.0, 1e-6)], duration=600.0, dt=60.0)
+        sc = Scenario(name="low-low", x0=standard_initial_states(P)["low-low"],
+                      N=len(w) - 1, controller=ControllerSpec(kind="mpc"),
+                      weather=w, plant=P)
+        assert len(run_scenario(sc).u) == 10
 
     def test_trace_shape_and_determinism(self):
         sc = self._scenario()
