@@ -4,8 +4,8 @@ two-tank stormwater harvesting and green-roof irrigation system.
 Modules
 -------
 plant      exact (non-smooth) two-tank dynamics and flow laws
-smooth     differentiable surrogate of the plant (smooth sqrt + gates)
-linearize  operating-point linearization and the condensed MPC QP
+smooth     differentiable surrogate of the plant: smooth field and Jacobian
+linearize  operating-point model and the condensed MPC QP
 riskdp     entropic-risk finite-horizon DP solver with oracle helpers
 control    step-function interfaces of the three controllers
 sim        weather handling, closed-loop simulation, comparison grids

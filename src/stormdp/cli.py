@@ -5,11 +5,10 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
-import numpy as np
-
-from . import riskdp, sim
+from . import sim
+from .linearize import NearSingularSystem
 from .plant import PlantParams
 from .sim import ControllerSpec
 
@@ -46,9 +45,9 @@ def _load_weather(args, p: PlantParams) -> sim.WeatherSeries:
 
 
 def _controller_spec(args) -> ControllerSpec:
-    return ControllerSpec(kind=args.controller, lam=args.lam, horizon=args.horizon,
-                          eps=args.epsilon, v=args.v, theta=args.theta,
-                          grid_shape=args.grid, n_actions=args.actions)
+    """The spec from the flags a subcommand has; the rest keep their defaults."""
+    return ControllerSpec(**{f.name: getattr(args, f.name)
+                             for f in fields(ControllerSpec) if hasattr(args, f.name)})
 
 
 def _add_common(parser):
@@ -63,17 +62,23 @@ def _add_common(parser):
                         help="simulation horizon in steps")
 
 
-def _add_controller_flags(parser):
-    parser.add_argument("--controller", choices=["mpc", "onoff", "dp"], default="mpc")
-    parser.add_argument("--lambda", dest="lam", type=float, default=1e-3,
-                        help="MPC control weight")
-    parser.add_argument("--horizon", type=int, default=10, help="MPC look-ahead M")
-    parser.add_argument("--epsilon", type=float, default=0.5, help="smoothing scale")
-    parser.add_argument("--v", type=float, default=0.5, help="on/off pump rate")
-    parser.add_argument("--theta", type=float, default=-0.1, help="risk aversion (< 0)")
-    parser.add_argument("--grid", type=_parse_grid, default=(41, 41),
-                        help="DP grid, e.g. 41x41")
-    parser.add_argument("--actions", type=int, default=11, help="DP action count")
+def _spec_flag(parser, flag: str, name: str, help: str, type=float):
+    """A flag stored into the ControllerSpec field ``name``, defaulting to it."""
+    parser.add_argument(flag, dest=name, type=type, default=getattr(ControllerSpec, name),
+                        help=help)
+
+
+def _add_dp_flags(parser):
+    """Control weight and DP flags, shared by simulate, dp solve and compare."""
+    _spec_flag(parser, "--lambda", "lam", "control weight")
+    _spec_flag(parser, "--theta", "theta", "risk aversion (< 0)")
+    _spec_flag(parser, "--grid", "grid_shape", "DP grid, e.g. 41x41", _parse_grid)
+    _spec_flag(parser, "--actions", "n_actions", "DP action count", int)
+
+
+def _add_mpc_flags(parser):
+    _spec_flag(parser, "--horizon", "horizon", "MPC look-ahead M", int)
+    _spec_flag(parser, "--epsilon", "eps", "smoothing scale")
 
 
 def _open_out(path):
@@ -102,15 +107,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_dp_solve(args) -> int:
     p = _load_plant(args)
-    weather = _load_weather(args, p)
-    n = _default_n(args)
-    grid = riskdp.Grid.uniform(*args.grid, p)
-    actions = np.linspace(0.0, 1.0, args.actions)
-    dm = riskdp.DisturbanceModel.from_series(weather.w_r[:n], weather.w_e[:n],
-                                             n_atoms=args.atoms)
-    costs = riskdp.tracking_cost(p, lam=args.lam)
-    values, policy = riskdp.solve(n, grid, actions, dm, costs, p,
-                                  riskdp.RiskParams(args.theta))
+    values, policy = sim.solve_dp(_controller_spec(args), p, _load_weather(args, p),
+                                  _default_n(args))
+    grid = policy.grid
     fh = _open_out(args.out)
     try:
         w = csv.writer(fh)
@@ -118,7 +117,7 @@ def cmd_dp_solve(args) -> int:
         for i in range(grid.nnodes):
             w.writerow([repr(float(grid.node_x1[i])), repr(float(grid.node_x2[i])),
                         repr(float(values.V[0, i])),
-                        repr(float(actions[policy.mu[0, i]]))])
+                        repr(float(policy.actions[policy.mu[0, i]]))])
     finally:
         if fh is not sys.stdout:
             fh.close()
@@ -131,12 +130,12 @@ def cmd_compare(args) -> int:
     weather = _load_weather(args, p)
     n = _default_n(args)
     controllers = [ControllerSpec(kind="mpc", lam=args.lam, horizon=args.horizon,
-                                  eps=args.epsilon)]
+                                  eps=args.eps)]
     controllers += [ControllerSpec(kind="onoff", v=v) for v in args.onoff_v]
     if args.with_dp:
         controllers.append(ControllerSpec(kind="dp", theta=args.theta,
-                                          grid_shape=args.grid,
-                                          n_actions=args.actions))
+                                          grid_shape=args.grid_shape,
+                                          n_actions=args.n_actions))
     rows = sim.compare(sim.standard_initial_states(p), controllers, weather, n, p)
     if args.out == "-":
         for r in rows:
@@ -194,7 +193,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run one closed-loop scenario")
     _add_common(p_sim)
-    _add_controller_flags(p_sim)
+    p_sim.add_argument("--controller", dest="kind", choices=["mpc", "onoff", "dp"],
+                       default="mpc")
+    _add_dp_flags(p_sim)
+    _add_mpc_flags(p_sim)
+    _spec_flag(p_sim, "--v", "v", "on/off pump rate")
     p_sim.add_argument("--start", default="low-low",
                        choices=["low-low", "high-low", "high-high"])
     p_sim.set_defaults(func=cmd_simulate)
@@ -203,25 +206,18 @@ def build_parser() -> argparse.ArgumentParser:
     dp_sub = p_dp.add_subparsers(dest="dp_command", required=True)
     p_solve = dp_sub.add_parser("solve", help="solve the risk-averse DP")
     _add_common(p_solve)
-    p_solve.add_argument("--theta", type=float, default=-0.1)
-    p_solve.add_argument("--grid", type=_parse_grid, default=(41, 41))
-    p_solve.add_argument("--actions", type=int, default=11)
-    p_solve.add_argument("--atoms", type=int, default=3)
-    p_solve.add_argument("--lambda", dest="lam", type=float, default=1e-3)
-    p_solve.set_defaults(func=cmd_dp_solve)
+    _add_dp_flags(p_solve)
+    _spec_flag(p_solve, "--atoms", "n_atoms", "disturbance atoms", int)
+    p_solve.set_defaults(func=cmd_dp_solve, kind="dp")
 
     p_cmp = sub.add_parser("compare", help="controller comparison grid")
     _add_common(p_cmp)
-    p_cmp.add_argument("--lambda", dest="lam", type=float, default=1e-3)
-    p_cmp.add_argument("--horizon", type=int, default=10)
-    p_cmp.add_argument("--epsilon", type=float, default=0.5)
+    _add_dp_flags(p_cmp)
+    _add_mpc_flags(p_cmp)
     p_cmp.add_argument("--onoff-v", type=float, nargs="+",
                        default=[0.2, 0.5, 1.0, 1.5, 2.0])
     p_cmp.add_argument("--with-dp", action="store_true",
                        help="include the tabulated DP controller")
-    p_cmp.add_argument("--theta", type=float, default=-0.1)
-    p_cmp.add_argument("--grid", type=_parse_grid, default=(41, 41))
-    p_cmp.add_argument("--actions", type=int, default=11)
     p_cmp.add_argument("--timing-out", default=None,
                        help="wall-clock timings CSV (kept out of the main CSV "
                             "so repeated runs are byte-identical)")
@@ -237,8 +233,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, NearSingularSystem) as exc:
+        print(f"error: {sim.describe_failure(exc)}", file=sys.stderr)
         return 2
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,8 +29,9 @@ class MpcConfig:
     lam: float = 1e-3
     eps: float = 0.5
 
-    @property
+    @cached_property
     def smooth(self) -> SmoothParams:
+        """The smooth surrogate, built once per config."""
         return SmoothParams(plant=self.plant, eps=self.eps)
 
 

@@ -1,6 +1,7 @@
-"""Operating-point linearization of the smooth plant and the condensed
+"""Operating-point model of the smooth plant and the condensed
 single-shot quadratic program behind the receding-horizon controller.
 
+``linearize_at`` assembles the affine model from ``smooth.f_eps_jacobians``.
 The MPC cost reads only tank 2, so the horizon is condensed onto the x2
 channel: Markov parameters in a lower-triangular Toeplitz matrix and one
 free response (Jerez, Kerrigan & Constantinides, CDC-ECC 2011). The
@@ -14,14 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .plant import PlantParams
-from .smooth import (
-    SmoothParams,
-    f_eps_rhs,
-    sigmoid_gate,
-    sigmoid_gate_deriv,
-    smooth_sqrt,
-    smooth_sqrt_deriv,
-)
+from .smooth import SmoothParams, f_eps_jacobians
 
 __all__ = [
     "OperatingPoint",
@@ -71,43 +65,11 @@ class LinearModel:
 
 
 def linearize_at(op: OperatingPoint, sp: SmoothParams) -> LinearModel:
-    """Discrete-time affine model from hand-derived Jacobians of the
-    smooth vector field at ``op``."""
-    p = sp.plant
-    eps = sp.eps
-
-    dqo = p.c_out * smooth_sqrt_deriv(op.x1 / p.a1 - p.z_o, eps) / p.a1
-
-    rho = op.x1 / p.a1 + p.c_hat - p.d
-    psi = smooth_sqrt(rho, eps)
-    dpsi = smooth_sqrt_deriv(rho, eps) / p.a1
-    g1 = sigmoid_gate(op.x1, p.pump_gate_volume, "activate-above", eps)
-    g2 = sigmoid_gate(op.x2, p.x2_target, "activate-below", eps)
-    dg1 = sigmoid_gate_deriv(op.x1, p.pump_gate_volume, "activate-above", eps)
-    dg2 = sigmoid_gate_deriv(op.x2, p.x2_target, "activate-below", eps)
-    qp_x1 = op.u * p.b * (dpsi * g1 + psi * dg1) * g2
-    qp_x2 = op.u * p.b * psi * g1 * dg2
-    qp_u = p.b * psi * g1 * g2
-
-    g3 = sigmoid_gate(op.x2, p.z_cap, "activate-above", eps)
-    dg3 = sigmoid_gate_deriv(op.x2, p.z_cap, "activate-above", eps)
-    core = (op.x2 / p.a2 + p.z_soil) / p.z_soil
-    dqd = p.K * p.a2 * (g3 / (p.a2 * p.z_soil) + core * dg3)
-
-    jx = np.array([[-dqo - qp_x1, -qp_x2],
-                   [qp_x1, qp_x2 - dqd]])
-    ju = np.array([[-qp_u], [qp_u]])
-    jw = np.array([[p.a_in, 0.0], [p.a2, -1.0]])
-
-    f1, f2 = f_eps_rhs(op.x1, op.x2, op.u, op.w_r, op.w_e, sp)
-    return LinearModel(
-        A=np.eye(2) + p.tau * jx,
-        B=p.tau * ju,
-        C=p.tau * jw,
-        b=p.tau * np.array([float(f1), float(f2)]),
-        op=op,
-        tau=p.tau,
-    )
+    """Euler step of the smooth field's expansion at ``op``: A = I + tau Jx,
+    B = tau Ju, C = tau Jw and b = tau f_eps(op)."""
+    f, jx, ju, jw = f_eps_jacobians(op.x1, op.x2, op.u, op.w_r, op.w_e, sp)
+    tau = sp.plant.tau
+    return LinearModel(A=np.eye(2) + tau * jx, B=tau * ju, C=tau * jw, b=tau * f, op=op, tau=tau)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,9 @@ __all__ = [
     "wet_12h",
     "standard_initial_states",
     "make_controller",
+    "solve_dp",
     "run_scenario",
+    "describe_failure",
     "cumulative_deviation",
     "compare",
     "write_comparison_csv",
@@ -226,27 +228,22 @@ def make_controller(spec: ControllerSpec, p: PlantParams, weather: WeatherSeries
 
         return mpc
 
-    if spec.kind == "dp":
-        return _dp_controller(_dp_policy(spec, p, weather, N))
+    if spec.kind == "dp":  # stateless, so one controller serves every start
+        policy = solve_dp(spec, p, weather, N)[1]
+        return lambda t, x1, x2: ctl.dp_step(t, x1, x2, policy, policy.grid)
 
     raise ValueError(f"unknown controller kind {spec.kind!r}")
 
 
-def _dp_policy(spec: ControllerSpec, p: PlantParams, weather: WeatherSeries,
-               N: int) -> riskdp.PolicyTable:
-    """Solve the DP of a ``dp`` spec; the policy does not depend on the start."""
+def solve_dp(spec: ControllerSpec, p: PlantParams, weather: WeatherSeries,
+             N: int) -> tuple[riskdp.ValueTable, riskdp.PolicyTable]:
+    """Solve the DP of a ``dp`` spec over the first N weather samples."""
     grid = riskdp.Grid.uniform(*spec.grid_shape, p)
     actions = np.linspace(0.0, 1.0, spec.n_actions)
     dm = riskdp.DisturbanceModel.from_series(weather.w_r[:N], weather.w_e[:N],
                                              n_atoms=spec.n_atoms)
     costs = riskdp.tracking_cost(p, lam=spec.lam)
-    _, policy = riskdp.solve(N, grid, actions, dm, costs, p,
-                             riskdp.RiskParams(spec.theta))
-    return policy
-
-
-def _dp_controller(policy: riskdp.PolicyTable) -> Callable[[int, float, float], float]:
-    return lambda t, x1, x2: ctl.dp_step(t, x1, x2, policy, policy.grid)
+    return riskdp.solve(N, grid, actions, dm, costs, p, riskdp.RiskParams(spec.theta))
 
 
 @dataclass(frozen=True)
@@ -276,8 +273,8 @@ def run_scenario(sc: Scenario, step_fn=None) -> Trace:
 
     ``step_fn`` is a controller already built for ``sc.controller``;
     without one, ``make_controller`` builds it. Deterministic given its
-    inputs; controller and model errors are re-raised with the failing
-    step index.
+    inputs. A controller or model error propagates with its own type and
+    carries the failing step index as its ``step`` attribute.
     """
     p = sc.plant
     if step_fn is None:
@@ -296,11 +293,18 @@ def run_scenario(sc: Scenario, step_fn=None) -> Trace:
             x1[t + 1], x2[t + 1], clamp1[t], clamp2[t] = plant_mod.step(
                 x1[t], x2[t], u[t], sc.weather.w_r[t], sc.weather.w_e[t], p)
         except Exception as exc:
-            raise RuntimeError(f"simulation failed at step {t}: {exc}") from exc
+            exc.step = t
+            raise
         cost[t] = (x2[t] / p.a2 - p.z_veg) ** 2
     return Trace(t=p.tau * np.arange(n + 1), x1=x1, x2=x2, u=u,
                  w_r=sc.weather.w_r[:n].copy(), w_e=sc.weather.w_e[:n].copy(),
                  cost=cost, clamp1=clamp1, clamp2=clamp2)
+
+
+def describe_failure(exc: Exception) -> str:
+    """``"<type> at step <t>: <message>"``; the step only if the loop set one."""
+    where = f" at step {exc.step}" if hasattr(exc, "step") else ""
+    return f"{type(exc).__name__}{where}: {exc}"
 
 
 def cumulative_deviation(trace: Trace, p: PlantParams) -> float:
@@ -367,19 +371,16 @@ def compare(initial_states: dict[str, tuple[float, float]],
     ``dp`` spec's policy is solved once and shared by every start.
     """
     rows = []
-    policies = {}
+    dp_controllers = {}
     for name, x0 in initial_states.items():
         for i, spec in enumerate(controllers):
             start = time.perf_counter()
             try:
                 sc = Scenario(name=name, x0=x0, N=N, controller=spec,
                               weather=weather, plant=p)
-                step_fn = None
-                if spec.kind == "dp":
-                    if i not in policies:
-                        policies[i] = _dp_policy(spec, p, weather, N)
-                    step_fn = _dp_controller(policies[i])
-                trace = run_scenario(sc, step_fn)
+                if spec.kind == "dp" and i not in dp_controllers:
+                    dp_controllers[i] = make_controller(spec, p, weather, N)
+                trace = run_scenario(sc, dp_controllers.get(i))
                 rows.append(ComparisonRow(
                     scenario=name, controller=spec.kind, params=spec.label,
                     cumulative_deviation=cumulative_deviation(trace, p),
@@ -389,7 +390,7 @@ def compare(initial_states: dict[str, tuple[float, float]],
                 rows.append(ComparisonRow(
                     scenario=name, controller=spec.kind, params=spec.label,
                     cumulative_deviation=math.nan, sum_u_sq=math.nan,
-                    status=f"failed: {exc}",
+                    status=f"failed: {describe_failure(exc)}",
                     runtime_s=time.perf_counter() - start))
     return rows
 

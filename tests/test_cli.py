@@ -1,10 +1,12 @@
 """Tests for the command-line interface."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
-from stormdp.cli import _parse_grid, main
+from stormdp.cli import _parse_grid, build_parser, main
+from stormdp.sim import ControllerSpec
 
 
 def run(argv, capsys):
@@ -54,6 +56,32 @@ class TestSimulate:
         code, _, err = run(["simulate", "--fast", "--config", str(cfg)], capsys)
         assert code == 2
         assert "error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--horizon", "65"],
+    ["--lambda", "0"],
+    ["--horizon", "0"],
+    ["--controller", "onoff", "--v", "0"],
+], ids=["horizon65", "lambda0", "horizon0", "onoff-v0"])
+def test_closed_loop_errors_reported(capsys, argv):
+    code, _, err = run(["simulate", "--fast", "-N", "5", *argv], capsys)
+    assert code == 2
+    assert err.startswith("error: ValueError at step 0: ")
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["simulate"], {"lam", "horizon", "eps", "v", "theta", "grid_shape", "n_actions"}),
+    (["dp", "solve"], {"lam", "theta", "grid_shape", "n_actions", "n_atoms"}),
+    (["compare"], {"lam", "horizon", "eps", "theta", "grid_shape", "n_actions"}),
+], ids=["simulate", "dp-solve", "compare"])
+def test_flag_defaults_are_controller_spec_defaults(argv, flags):
+    # each controller flag stores into the ControllerSpec field of its name
+    args = vars(build_parser().parse_args(argv))
+    defaults = {f.name: f.default for f in fields(ControllerSpec) if f.name != "kind"}
+    assert {name for name in defaults if name in args} == flags
+    for name in flags:
+        assert args[name] == defaults[name], name
 
 
 class TestDpSolve:

@@ -14,7 +14,7 @@ from stormdp.linearize import (
     solve_mpc_qp,
 )
 from stormdp.plant import PlantParams
-from stormdp.smooth import SmoothParams, f_eps_rhs
+from stormdp.smooth import SmoothParams, f_eps_jacobians, f_eps_rhs
 
 P = PlantParams()
 SP = SmoothParams(plant=P, eps=0.5)
@@ -87,6 +87,19 @@ class TestLinearize:
             assert np.all(np.abs(lm.A - A_fd) <= 1e-5 * (1.0 + np.abs(lm.A)))
             assert np.all(np.abs(lm.B - P.tau * ju) <= 1e-5 * (1.0 + np.abs(lm.B)))
             assert np.all(np.abs(lm.C - P.tau * jw) <= 1e-5 * (1.0 + np.abs(lm.C)))
+
+    def test_rejects_control_out_of_range(self):
+        for u in (1.2, -0.1):
+            with pytest.raises(ValueError, match="control fraction"):
+                linearize_at(OperatingPoint(100.0, 1.0, u, 1e-5, 1e-5), SP)
+
+    def test_field_matches_f_eps_rhs(self):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            op = random_operating_point(rng, avoid_sqrt_kinks=False)
+            f, _, _, _ = f_eps_jacobians(op.x1, op.x2, op.u, op.w_r, op.w_e, SP)
+            assert np.array_equal(f, np.array(
+                f_eps_rhs(op.x1, op.x2, op.u, op.w_r, op.w_e, SP), dtype=float))
 
     def test_A_close_to_identity_at_unit_step(self):
         # |A - I| <= tau * (Lipschitz bound of the smooth field): at

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stormdp import riskdp
+from stormdp.linearize import NearSingularSystem
 from stormdp.plant import PlantParams
 from stormdp.sim import (
     ControllerSpec,
@@ -160,6 +161,16 @@ class TestScenarioAndTrace:
                       weather=w, plant=P)
         assert len(run_scenario(sc).u) == 10
 
+    def test_error_keeps_its_type_and_step(self):
+        def step_fn(t, x1, x2):
+            if t == 3:
+                raise NearSingularSystem("singular normal matrix")
+            return 0.0
+
+        with pytest.raises(NearSingularSystem, match="singular") as info:
+            run_scenario(self._scenario(), step_fn)
+        assert info.value.step == 3
+
     def test_trace_shape_and_determinism(self):
         sc = self._scenario()
         a = run_scenario(sc)
@@ -228,8 +239,15 @@ class TestCompare:
                        [ControllerSpec(kind="bogus"),
                         ControllerSpec(kind="onoff", v=0.5)],
                        wet_12h(dt=60.0), 50, P)
-        assert rows[0].status.startswith("failed")
+        assert rows[0].status == "failed: ValueError: unknown controller kind 'bogus'"
         assert rows[1].status == "ok"
+
+    def test_failure_status_names_type_and_step(self):
+        rows = compare({"low-low": standard_initial_states(P)["low-low"]},
+                       [ControllerSpec(kind="mpc", horizon=65)],
+                       wet_12h(dt=60.0), 5, P)
+        assert rows[0].status == ("failed: ValueError at step 0: "
+                                  "horizon M must not exceed 64")
 
     def test_csv_deterministic(self, tmp_path):
         rows = compare(standard_initial_states(P),

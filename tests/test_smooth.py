@@ -57,6 +57,13 @@ class TestSmoothSqrt:
         an = smooth_sqrt_deriv(y, eps)
         assert np.all(np.abs(fd - an) <= 1e-6 * (1.0 + np.abs(an)))
 
+    def test_far_branches_stay_quiet(self):
+        y = np.array([-1e6, 0.0, 0.5, 1e6])
+        with np.errstate(all="raise"):
+            vals, slopes = smooth_sqrt(y, 0.5), smooth_sqrt_deriv(y, 0.5)
+        assert np.all(np.isfinite(vals)) and np.all(np.isfinite(slopes))
+        assert vals[-1] == 1e3 and slopes[0] == 0.0
+
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(ValueError):
             smooth_sqrt(1.0, 0.0)
@@ -90,6 +97,19 @@ class TestSigmoidGate:
         s = sigmoid_gate(z, 0.0, "activate-above", 0.5)
         assert np.all(np.diff(s) >= 0.0)
         assert np.all(np.isfinite(s))
+
+    @pytest.mark.parametrize("sense", ["activate-above", "activate-below"])
+    @pytest.mark.parametrize("z", [-1e6, 1e6])
+    def test_saturated_value_and_slope_stay_quiet(self, z, sense):
+        # |z - threshold| / eps = 2e6 lies far beyond EXP_CLAMP
+        eps = 0.5
+        with np.errstate(all="raise"):
+            s = float(sigmoid_gate(z, 0.0, sense, eps))
+            ds = float(sigmoid_gate_deriv(z, 0.0, sense, eps))
+        assert 0.0 <= s <= 1.0
+        assert -1 / (4 * eps) <= ds <= 1 / (4 * eps)
+        on = (z > 0) == (sense == "activate-above")
+        assert s == pytest.approx(1.0 if on else 0.0, abs=1e-200)
 
     def test_unknown_sense_rejected(self):
         with pytest.raises(ValueError):
