@@ -133,7 +133,7 @@ def cmd_compare(args) -> int:
                                   eps=args.eps)]
     controllers += [ControllerSpec(kind="onoff", v=v) for v in args.onoff_v]
     if args.with_dp:
-        controllers.append(ControllerSpec(kind="dp", theta=args.theta,
+        controllers.append(ControllerSpec(kind="dp", lam=args.lam, theta=args.theta,
                                           grid_shape=args.grid_shape,
                                           n_actions=args.n_actions))
     rows = sim.compare(sim.standard_initial_states(p), controllers, weather, n, p)

@@ -2,9 +2,13 @@
 state/action/disturbance space.
 
 The backward recursion replaces the expectation backup with the entropic
-one, psi = (-2/theta) log E[exp((-theta/2) V_next)], computed with a
-max-shifted log-sum-exp. Policy evaluation runs the same backup with the
-action fixed instead of minimized. Nearest-node projection turns the
+one, psi = (-2/theta) log E[exp((-theta/2) V_next)]. Under nearest-node
+projection the expectation is linear in the node-wise vector
+exp((-theta/2) V_next), so each stage takes one exponential per grid
+node, shifted by min V_next. Where that vector would overflow, and under
+multilinear projection, psi falls back to a log-sum-exp shifted by each
+row's maximum. Policy evaluation runs the same backup with the action
+fixed instead of minimized. Nearest-node projection turns the
 deterministic plant plus finite disturbance atoms into an exactly finite
 MDP, which the brute-force policy enumeration verifies end to end.
 """
@@ -39,6 +43,9 @@ __all__ = [
 ]
 
 MAX_ENUMERATION = 10 ** 6
+# Largest gamma * (max V' - min V') for which the per-node exponential is
+# taken; exp overflows float64 past log(max float) ~ 709.78.
+EXP_SHIFT_LIMIT = 700.0
 
 
 @dataclass(frozen=True)
@@ -249,7 +256,11 @@ class ValueTable:
 
 @dataclass(frozen=True)
 class PolicyTable:
-    """Per-stage argmin action indices mu[t] on grid nodes, t in {0..N-1}."""
+    """Per-stage argmin action indices mu[t] on grid nodes, t in {0..N-1}.
+
+    ``solve`` stores them in the smallest unsigned dtype that holds every
+    action index (uint8 up to 256 actions); any integer dtype works.
+    """
 
     mu: np.ndarray  # (N, nnodes) int
     actions: np.ndarray
@@ -326,13 +337,23 @@ def entropic_backup(V_next, t: int, rm: RiskParams, grid: Grid, dm: DisturbanceM
 def _q_values(V_next, t, theta, tables: _Tables, costs: CostSpec, cost_arr=None):
     """c_t(x,u) + psi_t(x,u) for every node and action, shape (nnodes, nA).
 
-    ``theta=None`` backs up the plain expectation instead of psi.
+    ``theta=None`` backs up the plain expectation instead of psi. Under
+    nearest-node projection psi takes one exponential per node, shifted
+    by min V'; expm1/log1p keep rows whose atoms share a successor
+    exact. Past EXP_SHIFT_LIMIT, and under multilinear projection, where
+    exp does not commute with the corner interpolation, it takes the
+    per-row max shift of ``_psi``.
     """
-    V_succ = tables.next_values(V_next)
     if theta is None:
-        psi = (V_succ * tables.dm.p).sum(axis=-1)
+        psi = (tables.next_values(V_next) * tables.dm.p).sum(axis=-1)
     else:
-        psi = _psi(V_succ, tables.dm.p, theta)
+        gamma = -theta / 2.0
+        m = V_next.min()
+        if tables.weights is None and gamma * (V_next.max() - m) <= EXP_SHIFT_LIMIT:
+            e = np.expm1(gamma * (V_next - m))
+            psi = m + np.log1p(e[tables.succ] @ tables.dm.p) / gamma
+        else:
+            psi = _psi(tables.next_values(V_next), tables.dm.p, theta)
     if cost_arr is None:
         cost_arr = tables.stage_cost(costs, t)
     return cost_arr + psi
@@ -343,7 +364,7 @@ def _backup(V_next, t, theta, tables: _Tables, costs: CostSpec, cost_arr=None):
     if not np.all(np.isfinite(v)):
         raise ArithmeticError("non-finite value in entropic backup")
     mu = np.argmin(v, axis=1)
-    return v[np.arange(v.shape[0]), mu], mu.astype(np.int64)
+    return v[np.arange(v.shape[0]), mu], mu
 
 
 def solve(N: int, grid: Grid, actions, dm: DisturbanceModel, costs: CostSpec,
@@ -359,7 +380,7 @@ def solve(N: int, grid: Grid, actions, dm: DisturbanceModel, costs: CostSpec,
     tables = _Tables(grid, actions, dm, p, mode)
     theta = None if rm is None else rm.theta
     V = np.empty((N + 1, grid.nnodes))
-    mu = np.empty((N, grid.nnodes), dtype=np.int64)
+    mu = np.empty((N, grid.nnodes), dtype=np.min_scalar_type(tables.actions.size - 1))
     V[N] = np.asarray(costs.terminal(grid.node_x1, grid.node_x2), dtype=float)
     cost_arr = None if costs.time_varying else tables.stage_cost(costs, 0)
     for t in range(N - 1, -1, -1):

@@ -184,6 +184,8 @@ class Scenario:
         p = self.plant
         if not (0 <= self.x0[0] <= p.cap1 and 0 <= self.x0[1] <= p.cap2):
             raise ValueError("initial state outside the clamped state box")
+        if self.N < 1:
+            raise ValueError(f"horizon N must be at least 1, got {self.N}")
         if len(self.weather) < self.N + 1:
             raise ValueError("weather series shorter than the simulation horizon")
 
@@ -201,6 +203,17 @@ class ControllerSpec:
     grid_shape: tuple[int, int] = (41, 41)   # dp
     n_actions: int = 11       # dp
     n_atoms: int = 3          # dp
+
+    def __post_init__(self):
+        # the kind is checked where the controller is built, so that an
+        # unknown kind fails one comparison cell and not the whole grid
+        if self.n_actions < 1:
+            raise ValueError(f"n_actions must be at least 1, got {self.n_actions}")
+        if self.n_atoms < 1:
+            raise ValueError(f"n_atoms must be at least 1, got {self.n_atoms}")
+        if min(self.grid_shape) < 2:
+            raise ValueError(f"grid_shape entries must be at least 2, "
+                             f"got {self.grid_shape}")
 
     @property
     def label(self) -> str:

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 from dataclasses import fields
 
 import pytest
@@ -70,6 +71,18 @@ def test_closed_loop_errors_reported(capsys, argv):
     assert err.startswith("error: ValueError at step 0: ")
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["simulate", "-N", "5", "--controller", "dp", "--actions", "0"], "n_actions"),
+    (["dp", "solve", "-N", "5", "--atoms", "0"], "n_atoms"),
+    (["simulate", "-N", "-3"], "N"),
+    (["simulate", "-N", "5", "--controller", "dp", "--grid", "1x1"], "grid_shape"),
+], ids=["actions0", "atoms0", "N-3", "grid1x1"])
+def test_bad_counts_name_their_field(capsys, argv, field):
+    code, _, err = run([*argv, "--fast"], capsys)
+    assert code == 2
+    assert re.match(rf"error: ValueError: .*\b{field}\b.* must be at least", err), err
+
+
 @pytest.mark.parametrize("argv, flags", [
     (["simulate"], {"lam", "horizon", "eps", "v", "theta", "grid_shape", "n_actions"}),
     (["dp", "solve"], {"lam", "theta", "grid_shape", "n_actions", "n_atoms"}),
@@ -112,6 +125,17 @@ class TestCompare:
         assert code == 0
         assert a.read_bytes() == b.read_bytes()
         assert (tmp_path / "a.csv.timing").exists()
+
+    def test_dp_row_uses_lambda(self, capsys):
+        # the dp cell must run the same controller as simulate with that flag
+        code, out, _ = run(["compare", "--fast", "-N", "30", "--with-dp",
+                            "--lambda", "0.01", "--onoff-v", "0.5"], capsys)
+        assert code == 0
+        dp_row = next(r for r in out.splitlines() if r.startswith("low-low,dp,"))
+        code, sim_out, _ = run(["simulate", "--fast", "-N", "30", "--controller", "dp",
+                                "--lambda", "0.01", "--start", "low-low"], capsys)
+        assert code == 0
+        assert dp_row.split(",")[3] == sim_out.split("cumulative_deviation=")[1].strip()
 
     def test_stdout_mode(self, capsys):
         code, out, _ = run(["compare", "--fast", "-N", "30",

@@ -1,6 +1,7 @@
 """Tests for the entropic-risk dynamic-programming solver."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from _instances import (
     path_enumeration_value,
     random_tiny_instance,
 )
+from stormdp import riskdp
+from stormdp.control import dp_step
 from stormdp.plant import PlantParams
 from stormdp.riskdp import (
     CostSpec,
@@ -28,6 +31,7 @@ from stormdp.riskdp import (
     solve,
     tracking_cost,
 )
+from stormdp.sim import ControllerSpec, solve_dp, wet_12h
 
 P = PlantParams()
 
@@ -148,6 +152,73 @@ class TestBackup:
             assert np.all(np.abs((V_shift - 700.0) - V) <= 1e-9)
 
 
+def _random_tables(rng, n_nodes, n_actions, n_atoms):
+    """Successor tables on a 1-D grid, with the successors redrawn at random."""
+    grid = Grid(np.linspace(0.0, P.cap1, n_nodes), [0.0])
+    dm = DisturbanceModel(w_r=np.zeros(n_atoms), w_e=np.zeros(n_atoms),
+                          p=rng.dirichlet(np.ones(n_atoms)))
+    tables = riskdp._Tables(grid, np.linspace(0.0, 1.0, n_actions), dm, P, "nearest")
+    tables.succ = rng.integers(0, n_nodes, size=(n_nodes, n_actions, n_atoms))
+    return tables
+
+
+def _q_and_kernel(tables, V_next, theta, cost):
+    """The shared backup's Q-values, and whether it took the per-row shift."""
+    with mock.patch.object(riskdp, "_psi", wraps=riskdp._psi) as row_shift:
+        q = riskdp._q_values(V_next, 0, theta, tables, None, cost)
+    return q, row_shift.called
+
+
+class TestPerNodeKernel:
+    """psi from one exponential per node, against the per-row max shift."""
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), theta=st.floats(-20.0, -1e-3),
+           gamma_range=st.floats(0.0, 699.0), offset=st.floats(-1e3, 1e3),
+           shape=st.tuples(st.integers(1, 6), st.integers(1, 4), st.integers(1, 4)))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_row_shift(self, seed, theta, gamma_range, offset, shape):
+        rng = np.random.default_rng(seed)
+        tables = _random_tables(rng, *shape)
+        gamma = -theta / 2.0
+        V = offset + rng.uniform(0.0, gamma_range / gamma, shape[0])
+        q, row_shifted = _q_and_kernel(tables, V, theta, np.zeros(shape[:2]))
+        assert not row_shifted
+        ref = riskdp._psi(V[tables.succ], tables.dm.p, theta)
+        # both kernels round at the scale of |V'| and of 1/gamma
+        scale = np.abs(V).max() + 1.0 / gamma
+        np.testing.assert_allclose(q, ref, rtol=1e-12, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("gamma_range, row_shifted", [
+        (699.0, False), (701.0, True), (2500.0, True)])
+    def test_both_sides_of_the_overflow_switch(self, gamma_range, row_shifted):
+        rng = np.random.default_rng(8)
+        tables = _random_tables(rng, 6, 4, 3)
+        theta = -10.0
+        V = np.linspace(0.0, gamma_range / 5.0, 6)
+        cost = rng.uniform(0.0, 1.0, size=(6, 4))
+        with np.errstate(over="raise"):
+            q, shifted = _q_and_kernel(tables, V, theta, cost)
+            ref = cost + riskdp._psi(V[tables.succ], tables.dm.p, theta)
+        assert shifted == row_shifted
+        assert np.all(np.isfinite(q))
+        np.testing.assert_allclose(q, ref, rtol=1e-12)
+        assert np.array_equal(q.argmin(axis=1), ref.argmin(axis=1))
+
+    def test_solve_across_the_switch_matches_row_shift(self, monkeypatch):
+        # theta = -10 on the --fast instance: gamma (max V' - min V') starts
+        # below the limit and passes it mid-recursion
+        p = PlantParams(tau=60.0)
+        spec = ControllerSpec(kind="dp", theta=-10.0)
+        weather = wet_12h(dt=60.0)
+        values, policy = solve_dp(spec, p, weather, 720)
+        gamma_range = 5.0 * np.ptp(values.V[1:], axis=1)
+        assert gamma_range.min() <= riskdp.EXP_SHIFT_LIMIT < gamma_range.max()
+        monkeypatch.setattr(riskdp, "EXP_SHIFT_LIMIT", -1.0)
+        ref_values, ref_policy = solve_dp(spec, p, weather, 720)
+        assert np.array_equal(policy.mu, ref_policy.mu)
+        np.testing.assert_allclose(values.V, ref_values.V, rtol=1e-10)
+
+
 def _succ(inst, node, action_idx, dm):
     from _instances import TinyInstance, successor_node
     inst1 = TinyInstance(plant=inst.plant, grid=inst.grid, actions=inst.actions,
@@ -167,6 +238,20 @@ class TestSolve:
                                   inst.dm, inst.actions, inst.costs, inst.plant)
         assert np.allclose(values.V[0], V0)
         assert np.array_equal(policy.mu[0], mu0)
+
+    @pytest.mark.parametrize("n_actions, dtype", [
+        (2, np.uint8), (256, np.uint8), (257, np.uint16)])
+    def test_policy_table_is_compact(self, n_actions, dtype):
+        # the cost prefers the last action, so mu holds the largest index
+        grid = Grid.uniform(3, 3, P)
+        actions = np.linspace(0.0, 1.0, n_actions)
+        costs = CostSpec(stage=lambda t, x1, x2, u: (1.0 - np.asarray(u)) ** 2,
+                         terminal=lambda x1, x2: np.zeros(np.shape(x1)))
+        _, policy = solve(2, grid, actions, DisturbanceModel([0.0], [0.0], [1.0]),
+                          costs, P, RiskParams(-1.0))
+        assert policy.mu.dtype == dtype
+        assert np.all(policy.mu == n_actions - 1)
+        assert dp_step(0, grid.node_x1[4], grid.node_x2[4], policy, grid) == 1.0
 
     def test_zero_costs(self):
         inst = oracle_instance()
