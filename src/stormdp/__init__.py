@@ -38,7 +38,6 @@ from .riskdp import (
     entropic_backup,
     evaluate_policy_W,
     lipschitz_regularize,
-    project,
     risk_functional,
     solve,
     tracking_cost,

@@ -29,13 +29,13 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 def _load_plant(args) -> PlantParams:
     p = PlantParams() if args.config is None else PlantParams.from_json(args.config)
-    return replace(p, tau=FAST_TAU) if getattr(args, "fast", False) else p
+    return replace(p, tau=FAST_TAU) if args.fast else p
 
 
 def _default_n(args) -> int:
     if args.N is not None:
         return args.N
-    return FAST_N if getattr(args, "fast", False) else DEFAULT_N
+    return FAST_N if args.fast else DEFAULT_N
 
 
 def _load_weather(args, p: PlantParams) -> sim.WeatherSeries:
@@ -44,10 +44,12 @@ def _load_weather(args, p: PlantParams) -> sim.WeatherSeries:
     return sim.wet_12h(dt=p.tau)
 
 
-def _controller_spec(args) -> ControllerSpec:
-    """The spec from the flags a subcommand has; the rest keep their defaults."""
-    return ControllerSpec(**{f.name: getattr(args, f.name)
-                             for f in fields(ControllerSpec) if hasattr(args, f.name)})
+def _controller_spec(args, **overrides) -> ControllerSpec:
+    """The spec from the flags a subcommand has, then ``overrides``; the
+    rest keep their defaults."""
+    flags = {f.name: getattr(args, f.name)
+             for f in fields(ControllerSpec) if hasattr(args, f.name)}
+    return ControllerSpec(**{**flags, **overrides})
 
 
 def _add_common(parser):
@@ -107,8 +109,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_dp_solve(args) -> int:
     p = _load_plant(args)
-    values, policy = sim.solve_dp(_controller_spec(args), p, _load_weather(args, p),
-                                  _default_n(args))
+    values, policy = sim.solve_dp(_controller_spec(args, kind="dp"), p,
+                                  _load_weather(args, p), _default_n(args))
     grid = policy.grid
     fh = _open_out(args.out)
     try:
@@ -129,13 +131,10 @@ def cmd_compare(args) -> int:
     p = _load_plant(args)
     weather = _load_weather(args, p)
     n = _default_n(args)
-    controllers = [ControllerSpec(kind="mpc", lam=args.lam, horizon=args.horizon,
-                                  eps=args.eps)]
-    controllers += [ControllerSpec(kind="onoff", v=v) for v in args.onoff_v]
+    controllers = [_controller_spec(args, kind="mpc")]
+    controllers += [_controller_spec(args, kind="onoff", v=v) for v in args.onoff_v]
     if args.with_dp:
-        controllers.append(ControllerSpec(kind="dp", lam=args.lam, theta=args.theta,
-                                          grid_shape=args.grid_shape,
-                                          n_actions=args.n_actions))
+        controllers.append(_controller_spec(args, kind="dp"))
     rows = sim.compare(sim.standard_initial_states(p), controllers, weather, n, p)
     if args.out == "-":
         for r in rows:
@@ -153,11 +152,15 @@ def cmd_lint(args) -> int:
 
     The weather is loaded as ``simulate`` loads it (resampled to the
     plant step, honouring ``--config`` and ``--fast``) and must cover the
-    horizon, so lint accepts a file exactly when ``simulate`` would.
+    horizon, so lint accepts a file exactly when ``simulate`` would. A
+    horizon below 1 is reported against ``-N``, not against a file.
     """
     problems = []
     if args.config is None and args.weather is None:
         problems.append("nothing to lint: pass --config and/or --weather")
+    n = _default_n(args)
+    if n < 1:
+        problems.append(f"-N: horizon N must be at least 1, got {n}")
     try:
         p = _load_plant(args)
     except Exception as exc:
@@ -171,10 +174,10 @@ def cmd_lint(args) -> int:
     elif args.weather is not None:
         try:
             series = _load_weather(args, p)
-            # Scenario's own length rule: N + 1 samples at the plant step
-            sim.Scenario(name="lint", x0=(0.0, 0.0), N=_default_n(args),
-                         controller=ControllerSpec(kind="onoff"),
-                         weather=series, plant=p)
+            if n >= 1:  # Scenario's own length rule: N + 1 samples at the plant step
+                sim.Scenario(name="lint", x0=(0.0, 0.0), N=n,
+                             controller=ControllerSpec(kind="onoff"),
+                             weather=series, plant=p)
             print(f"weather ok: {args.weather} ({len(series)} samples at "
                   f"tau={p.tau:g} s)")
         except Exception as exc:
@@ -208,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_solve)
     _add_dp_flags(p_solve)
     _spec_flag(p_solve, "--atoms", "n_atoms", "disturbance atoms", int)
-    p_solve.set_defaults(func=cmd_dp_solve, kind="dp")
+    p_solve.set_defaults(func=cmd_dp_solve)
 
     p_cmp = sub.add_parser("compare", help="controller comparison grid")
     _add_common(p_cmp)

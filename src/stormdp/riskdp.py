@@ -10,7 +10,8 @@ multilinear projection, psi falls back to a log-sum-exp shifted by each
 row's maximum. Policy evaluation runs the same backup with the action
 fixed instead of minimized. Nearest-node projection turns the
 deterministic plant plus finite disturbance atoms into an exactly finite
-MDP, which the brute-force policy enumeration verifies end to end.
+MDP, held in one table of projected successors and stage costs that the
+solver, policy evaluation and the brute-force policy enumeration share.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "tracking_cost",
     "ValueTable",
     "PolicyTable",
-    "project",
     "entropic_backup",
     "solve",
     "evaluate_policy_W",
@@ -145,26 +145,6 @@ def _cell_coord(nodes: np.ndarray, x):
     return j, np.clip(t, 0.0, 1.0)
 
 
-def project(x1: float, x2: float, grid: Grid, mode: str = "nearest"):
-    """Project a state onto the grid.
-
-    Returns a flat node index for ``nearest`` and a list of
-    (index, weight) pairs with positive weights for ``multilinear``.
-    """
-    if mode == "nearest":
-        return int(grid.nearest(x1, x2))
-    if mode == "multilinear":
-        idx, w = grid.multilinear(x1, x2)
-        idx = np.atleast_1d(np.asarray(idx).reshape(-1))
-        w = np.atleast_1d(np.asarray(w).reshape(-1))
-        merged: dict[int, float] = {}
-        for i, wi in zip(idx, w):
-            if wi > 0.0:
-                merged[int(i)] = merged.get(int(i), 0.0) + float(wi)
-        return sorted(merged.items())
-    raise ValueError(f"unknown projection mode {mode!r}")
-
-
 @dataclass(frozen=True)
 class DisturbanceModel:
     """Finite-support disturbance distribution, independent of (x, u)."""
@@ -249,10 +229,6 @@ class ValueTable:
     V: np.ndarray  # (N+1, nnodes)
     grid: Grid
 
-    @property
-    def horizon(self) -> int:
-        return self.V.shape[0] - 1
-
 
 @dataclass(frozen=True)
 class PolicyTable:
@@ -272,14 +248,19 @@ class PolicyTable:
 
 
 class _Tables:
-    """Projection of every (node, action, atom) successor, built once."""
+    """The projected finite MDP: the successor of every (node, action,
+    atom) and the costs, built once.
 
-    def __init__(self, grid: Grid, actions, dm: DisturbanceModel,
+    A stage cost that does not depend on t is evaluated once, here; a
+    time-varying one is evaluated on each ``stage_cost`` call.
+    """
+
+    def __init__(self, grid: Grid, actions, dm: DisturbanceModel, costs: CostSpec,
                  p: PlantParams, mode: str):
         self.grid = grid
         self.actions = np.asarray(actions, dtype=float)
         self.dm = dm
-        self.mode = mode
+        self.costs = costs
         x1 = grid.node_x1[:, None, None]
         x2 = grid.node_x2[:, None, None]
         u = self.actions[None, :, None]
@@ -295,6 +276,9 @@ class _Tables:
             self.succ, self.weights = grid.multilinear(x1n, x2n)
         else:
             raise ValueError(f"unknown projection mode {mode!r}")
+        self._fixed_cost = None
+        if not costs.time_varying:
+            self._fixed_cost = self.stage_cost(0)
 
     def next_values(self, V_next: np.ndarray) -> np.ndarray:
         """V_next at projected successors, shape (nnodes, nA, natoms)."""
@@ -302,11 +286,19 @@ class _Tables:
             return V_next[self.succ]
         return (V_next[self.succ] * self.weights).sum(axis=-1)
 
-    def stage_cost(self, costs: CostSpec, t: int) -> np.ndarray:
-        c = costs.stage(t, self.grid.node_x1[:, None], self.grid.node_x2[:, None],
-                        self.actions[None, :])
+    def stage_cost(self, t: int) -> np.ndarray:
+        """c_t(x, u) on every node and action, shape (nnodes, nA)."""
+        if self._fixed_cost is not None:
+            return self._fixed_cost
+        c = self.costs.stage(t, self.grid.node_x1[:, None], self.grid.node_x2[:, None],
+                             self.actions[None, :])
         return np.broadcast_to(np.asarray(c, dtype=float),
                                (self.grid.nnodes, self.actions.size))
+
+    def terminal_cost(self) -> np.ndarray:
+        """The terminal cost on every node, shape (nnodes,)."""
+        return np.asarray(self.costs.terminal(self.grid.node_x1, self.grid.node_x2),
+                          dtype=float)
 
 
 def _logsumexp(a: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -330,11 +322,11 @@ def entropic_backup(V_next, t: int, rm: RiskParams, grid: Grid, dm: DisturbanceM
     Argmin ties resolve to the smallest action index, a fixed measurable
     selector. Raises if any value fails to be finite.
     """
-    tables = _Tables(grid, actions, dm, p, mode)
-    return _backup(np.asarray(V_next, dtype=float), t, rm.theta, tables, costs)
+    tables = _Tables(grid, actions, dm, costs, p, mode)
+    return _backup(np.asarray(V_next, dtype=float), t, rm.theta, tables)
 
 
-def _q_values(V_next, t, theta, tables: _Tables, costs: CostSpec, cost_arr=None):
+def _q_values(V_next, t, theta, tables: _Tables):
     """c_t(x,u) + psi_t(x,u) for every node and action, shape (nnodes, nA).
 
     ``theta=None`` backs up the plain expectation instead of psi. Under
@@ -354,13 +346,11 @@ def _q_values(V_next, t, theta, tables: _Tables, costs: CostSpec, cost_arr=None)
             psi = m + np.log1p(e[tables.succ] @ tables.dm.p) / gamma
         else:
             psi = _psi(tables.next_values(V_next), tables.dm.p, theta)
-    if cost_arr is None:
-        cost_arr = tables.stage_cost(costs, t)
-    return cost_arr + psi
+    return tables.stage_cost(t) + psi
 
 
-def _backup(V_next, t, theta, tables: _Tables, costs: CostSpec, cost_arr=None):
-    v = _q_values(V_next, t, theta, tables, costs, cost_arr)
+def _backup(V_next, t, theta, tables: _Tables):
+    v = _q_values(V_next, t, theta, tables)
     if not np.all(np.isfinite(v)):
         raise ArithmeticError("non-finite value in entropic backup")
     mu = np.argmin(v, axis=1)
@@ -377,27 +367,25 @@ def solve(N: int, grid: Grid, actions, dm: DisturbanceModel, costs: CostSpec,
     """
     if N < 1:
         raise ValueError("horizon N must be at least 1")
-    tables = _Tables(grid, actions, dm, p, mode)
+    tables = _Tables(grid, actions, dm, costs, p, mode)
     theta = None if rm is None else rm.theta
     V = np.empty((N + 1, grid.nnodes))
     mu = np.empty((N, grid.nnodes), dtype=np.min_scalar_type(tables.actions.size - 1))
-    V[N] = np.asarray(costs.terminal(grid.node_x1, grid.node_x2), dtype=float)
-    cost_arr = None if costs.time_varying else tables.stage_cost(costs, 0)
+    V[N] = tables.terminal_cost()
     for t in range(N - 1, -1, -1):
-        V[t], mu[t] = _backup(V[t + 1], t, theta, tables, costs, cost_arr)
+        V[t], mu[t] = _backup(V[t + 1], t, theta, tables)
     return ValueTable(V=V, grid=grid), PolicyTable(mu=mu, actions=tables.actions, grid=grid)
 
 
 def _policy_values(policy_mu: np.ndarray, theta: float, tables: _Tables,
-                   costs: CostSpec, N: int) -> np.ndarray:
+                   N: int) -> np.ndarray:
     """Entropic values V_t of a fixed Markov policy, shape (N+1, nnodes):
     the backup of ``solve`` with the action taken from the policy."""
-    grid = tables.grid
-    rows = np.arange(grid.nnodes)
-    V = np.empty((N + 1, grid.nnodes))
-    V[N] = np.asarray(costs.terminal(grid.node_x1, grid.node_x2), dtype=float)
+    rows = np.arange(tables.grid.nnodes)
+    V = np.empty((N + 1, tables.grid.nnodes))
+    V[N] = tables.terminal_cost()
     for t in range(N - 1, -1, -1):
-        V[t] = _q_values(V[t + 1], t, theta, tables, costs)[rows, policy_mu[t]]
+        V[t] = _q_values(V[t + 1], t, theta, tables)[rows, policy_mu[t]]
     return V
 
 
@@ -407,10 +395,15 @@ def evaluate_policy_W(policy: PolicyTable, dm: DisturbanceModel, costs: CostSpec
     """Multiplicative policy evaluation W_t(x) = E[exp(gamma Z_t) | x].
 
     Computed as exp(gamma V_t) from the policy's entropic values; every
-    returned value is strictly positive.
+    returned value is strictly positive. Raises ArithmeticError where
+    gamma V_t exceeds log(float max), past which W is not representable.
     """
-    tables = _Tables(policy.grid, policy.actions, dm, p, mode)
-    V = _policy_values(policy.mu, rm.theta, tables, costs, policy.horizon)
+    tables = _Tables(policy.grid, policy.actions, dm, costs, p, mode)
+    V = _policy_values(policy.mu, rm.theta, tables, policy.horizon)
+    top, limit = rm.gamma * V.max(), np.log(np.finfo(float).max)
+    if top > limit:
+        raise ArithmeticError(f"policy evaluation overflows: gamma * max V = {top:.6g} "
+                              f"exceeds log(float max) = {limit:.6g}")
     W = np.exp(rm.gamma * V)
     if not np.all(np.isfinite(W)) or np.any(W <= 0.0):
         raise ArithmeticError("policy evaluation left the positive finite range")
@@ -420,7 +413,6 @@ def evaluate_policy_W(policy: PolicyTable, dm: DisturbanceModel, costs: CostSpec
 @dataclass(frozen=True)
 class BruteForceResult:
     optimal_values: np.ndarray   # (nnodes,) min over all Markov policies
-    best_policy: np.ndarray      # (N, nnodes) action indices
     policy_values: np.ndarray    # (npolicies, nnodes) entropic value of each policy
 
 
@@ -429,25 +421,15 @@ def brute_force_optimal(N: int, grid: Grid, actions, dm: DisturbanceModel,
                         mode: str = "nearest") -> BruteForceResult:
     """Enumerate every Markov policy on the projected finite MDP and
     minimize the entropic risk (-2/theta) log W_0 per start node."""
-    tables = _Tables(grid, actions, dm, p, mode)
+    tables = _Tables(grid, actions, dm, costs, p, mode)
     n_actions = tables.actions.size
     n_entries = grid.nnodes * N
     if n_actions ** n_entries > MAX_ENUMERATION:
         raise ValueError("policy enumeration too large for brute force")
-    values = []
-    best_total = np.inf
-    best_policy = None
-    for flat in itertools.product(range(n_actions), repeat=n_entries):
-        policy_mu = np.asarray(flat, dtype=np.int64).reshape(N, grid.nnodes)
-        v0 = _policy_values(policy_mu, rm.theta, tables, costs, N)[0]
-        values.append(v0)
-        total = v0.sum()
-        if total < best_total:
-            best_total = total
-            best_policy = policy_mu
-    policy_values = np.asarray(values)
+    policy_values = np.asarray([
+        _policy_values(np.asarray(flat).reshape(N, grid.nnodes), rm.theta, tables, N)[0]
+        for flat in itertools.product(range(n_actions), repeat=n_entries)])
     return BruteForceResult(optimal_values=policy_values.min(axis=0),
-                            best_policy=best_policy,
                             policy_values=policy_values)
 
 

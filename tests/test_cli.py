@@ -167,6 +167,16 @@ class TestLint:
         assert code == 1
         assert "weather" in err
 
+    @pytest.mark.parametrize("flag", ["--config", "--weather"])
+    def test_bad_horizon_blames_N(self, tmp_path, capsys, flag):
+        # simulate -N 0 is refused, whichever files come with it
+        path = tmp_path / "input"
+        path.write_text(json.dumps({"tau": 60.0}) if flag == "--config"
+                        else "t_s,w_r_mps,w_e_m3ps\n0,0,0\n60,1e-6,2e-5\n")
+        code, _, err = run(["lint", flag, str(path), "-N", "0"], capsys)
+        assert code == 1
+        assert err.splitlines() == ["error: -N: horizon N must be at least 1, got 0"]
+
 
 @pytest.mark.parametrize("argv, ok", [
     (["-N", "600"], True),

@@ -1,6 +1,7 @@
 """Tests for the entropic-risk dynamic-programming solver."""
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -26,7 +27,6 @@ from stormdp.riskdp import (
     entropic_backup,
     evaluate_policy_W,
     lipschitz_regularize,
-    project,
     risk_functional,
     solve,
     tracking_cost,
@@ -48,26 +48,29 @@ class TestRiskParams:
 class TestGridProjection:
     def test_node_exact(self):
         g = Grid([0.0, 1.0, 2.0], [0.0, 10.0])
-        assert project(1.0, 10.0, g, "nearest") == 1 * 2 + 1
-        assert project(1.0, 10.0, g, "multilinear") == [(3, 1.0)]
+        assert g.nearest(1.0, 10.0) == 1 * 2 + 1
+        idx, w = g.multilinear(1.0, 10.0)
+        # every corner weight but the node's own is zero
+        assert {int(i) for i, wi in zip(idx, w) if wi > 0} == {3}
+        assert w[idx == 3].sum() == 1.0
 
     def test_cell_midpoint_multilinear(self):
         g = Grid([0.0, 1.0], [0.0, 10.0])
-        pairs = project(0.5, 5.0, g, "multilinear")
-        assert [i for i, _ in pairs] == [0, 1, 2, 3]
-        assert all(w == pytest.approx(0.25) for _, w in pairs)
+        idx, w = g.multilinear(0.5, 5.0)
+        assert list(idx) == [0, 1, 2, 3]
+        assert all(wi == pytest.approx(0.25) for wi in w)
 
     def test_tie_goes_to_lower_index(self):
         g = Grid([0.0, 1.0, 2.0], [0.0])
-        assert project(0.5, 0.0, g, "nearest") == 0
-        assert project(1.5, 0.0, g, "nearest") == 1
+        assert g.nearest(0.5, 0.0) == 0
+        assert g.nearest(1.5, 0.0) == 1
 
     def test_out_of_box_rejected(self):
         g = Grid([0.0, 1.0], [0.0, 1.0])
         with pytest.raises(ValueError):
-            project(2.0, 0.0, g, "nearest")
+            g.nearest(2.0, 0.0)
         with pytest.raises(ValueError):
-            project(0.5, -0.5, g, "multilinear")
+            g.multilinear(0.5, -0.5)
 
     def test_multilinear_weights_convex(self):
         rng = np.random.default_rng(21)
@@ -75,13 +78,12 @@ class TestGridProjection:
         for _ in range(50):
             x1 = rng.uniform(g.x1_nodes[0], g.x1_nodes[-1])
             x2 = rng.uniform(g.x2_nodes[0], g.x2_nodes[-1])
-            pairs = project(x1, x2, g, "multilinear")
-            w = [wi for _, wi in pairs]
-            assert all(wi > 0 for wi in w)
-            assert sum(w) == pytest.approx(1.0, abs=1e-12)
+            idx, w = g.multilinear(x1, x2)
+            assert np.all(w > 0)
+            assert w.sum() == pytest.approx(1.0, abs=1e-12)
             # the weighted node coordinates reproduce the point
-            assert sum(wi * g.node_x1[i] for i, wi in pairs) == pytest.approx(x1)
-            assert sum(wi * g.node_x2[i] for i, wi in pairs) == pytest.approx(x2)
+            assert w @ g.node_x1[idx] == pytest.approx(x1)
+            assert w @ g.node_x2[idx] == pytest.approx(x2)
 
 
 class TestDisturbanceModel:
@@ -152,20 +154,24 @@ class TestBackup:
             assert np.all(np.abs((V_shift - 700.0) - V) <= 1e-9)
 
 
-def _random_tables(rng, n_nodes, n_actions, n_atoms):
-    """Successor tables on a 1-D grid, with the successors redrawn at random."""
+def _random_tables(rng, cost, n_atoms):
+    """Tables on a 1-D grid with the (nodes, actions) stage cost ``cost``,
+    and the successors redrawn at random."""
+    n_nodes, n_actions = cost.shape
     grid = Grid(np.linspace(0.0, P.cap1, n_nodes), [0.0])
     dm = DisturbanceModel(w_r=np.zeros(n_atoms), w_e=np.zeros(n_atoms),
                           p=rng.dirichlet(np.ones(n_atoms)))
-    tables = riskdp._Tables(grid, np.linspace(0.0, 1.0, n_actions), dm, P, "nearest")
+    costs = CostSpec(stage=lambda t, x1, x2, u: cost, terminal=None)
+    tables = riskdp._Tables(grid, np.linspace(0.0, 1.0, n_actions), dm, costs, P,
+                            "nearest")
     tables.succ = rng.integers(0, n_nodes, size=(n_nodes, n_actions, n_atoms))
     return tables
 
 
-def _q_and_kernel(tables, V_next, theta, cost):
+def _q_and_kernel(tables, V_next, theta):
     """The shared backup's Q-values, and whether it took the per-row shift."""
     with mock.patch.object(riskdp, "_psi", wraps=riskdp._psi) as row_shift:
-        q = riskdp._q_values(V_next, 0, theta, tables, None, cost)
+        q = riskdp._q_values(V_next, 0, theta, tables)
     return q, row_shift.called
 
 
@@ -178,10 +184,10 @@ class TestPerNodeKernel:
     @settings(max_examples=100, deadline=None)
     def test_matches_row_shift(self, seed, theta, gamma_range, offset, shape):
         rng = np.random.default_rng(seed)
-        tables = _random_tables(rng, *shape)
+        tables = _random_tables(rng, np.zeros(shape[:2]), shape[2])
         gamma = -theta / 2.0
         V = offset + rng.uniform(0.0, gamma_range / gamma, shape[0])
-        q, row_shifted = _q_and_kernel(tables, V, theta, np.zeros(shape[:2]))
+        q, row_shifted = _q_and_kernel(tables, V, theta)
         assert not row_shifted
         ref = riskdp._psi(V[tables.succ], tables.dm.p, theta)
         # both kernels round at the scale of |V'| and of 1/gamma
@@ -192,12 +198,12 @@ class TestPerNodeKernel:
         (699.0, False), (701.0, True), (2500.0, True)])
     def test_both_sides_of_the_overflow_switch(self, gamma_range, row_shifted):
         rng = np.random.default_rng(8)
-        tables = _random_tables(rng, 6, 4, 3)
+        cost = rng.uniform(0.0, 1.0, size=(6, 4))
+        tables = _random_tables(rng, cost, 3)
         theta = -10.0
         V = np.linspace(0.0, gamma_range / 5.0, 6)
-        cost = rng.uniform(0.0, 1.0, size=(6, 4))
         with np.errstate(over="raise"):
-            q, shifted = _q_and_kernel(tables, V, theta, cost)
+            q, shifted = _q_and_kernel(tables, V, theta)
             ref = cost + riskdp._psi(V[tables.succ], tables.dm.p, theta)
         assert shifted == row_shifted
         assert np.all(np.isfinite(q))
@@ -302,6 +308,51 @@ class TestSolve:
         assert np.all(np.abs(attained - values.V[0]) <= 1e-9)
 
 
+def _counting(costs, time_varying):
+    """``costs`` with its stage callable wrapped to record each t it is asked for."""
+    calls = []
+
+    def stage(t, x1, x2, u):
+        calls.append(t)
+        return costs.stage(t, x1, x2, u)
+
+    return CostSpec(stage=stage, terminal=costs.terminal, time_varying=time_varying), calls
+
+
+class TestStageCostEvaluatedOnce:
+    """A time-invariant stage cost is evaluated once per call; a
+    time-varying one once per stage of each backward pass."""
+
+    @pytest.mark.parametrize("time_varying", [False, True])
+    def test_solve(self, time_varying):
+        inst = oracle_instance()
+        costs, calls = _counting(inst.costs, time_varying)
+        solve(inst.N, inst.grid, inst.actions, inst.dm, costs, inst.plant,
+              RiskParams(-1.0))
+        assert calls == (list(range(inst.N - 1, -1, -1)) if time_varying else [0])
+
+    @pytest.mark.parametrize("time_varying", [False, True])
+    def test_evaluate_policy_W(self, time_varying):
+        inst = oracle_instance()
+        rm = RiskParams(-1.0)
+        _, policy = solve(inst.N, inst.grid, inst.actions, inst.dm, inst.costs,
+                          inst.plant, rm)
+        costs, calls = _counting(inst.costs, time_varying)
+        evaluate_policy_W(policy, inst.dm, costs, inst.plant, rm)
+        assert calls == (list(range(inst.N - 1, -1, -1)) if time_varying else [0])
+
+    @pytest.mark.parametrize("time_varying", [False, True])
+    def test_brute_force_optimal(self, time_varying):
+        inst = oracle_instance()
+        costs, calls = _counting(inst.costs, time_varying)
+        res = brute_force_optimal(inst.N, inst.grid, inst.actions, inst.dm, costs,
+                                  inst.plant, RiskParams(-1.0))
+        n_policies = res.policy_values.shape[0]
+        assert n_policies == inst.actions.size ** (inst.N * inst.grid.nnodes)
+        expected = list(range(inst.N - 1, -1, -1)) * n_policies if time_varying else [0]
+        assert calls == expected
+
+
 class TestPolicyEvaluation:
     def test_zero_cost_gives_unit_W(self):
         inst = oracle_instance()
@@ -330,6 +381,33 @@ class TestPolicyEvaluation:
             ref = path_enumeration_value(inst, policy.mu, rm.theta, start)
             got = (-2.0 / rm.theta) * math.log(W[0, start])
             assert got == pytest.approx(ref, rel=1e-12)
+
+    @staticmethod
+    def _fast_policy_args(theta):
+        """evaluate_policy_W's arguments for the --fast DP policy at theta."""
+        p = PlantParams(tau=60.0)
+        weather = wet_12h(dt=60.0)
+        spec = ControllerSpec(kind="dp", theta=theta)
+        _, policy = solve_dp(spec, p, weather, 720)
+        dm = DisturbanceModel.from_series(weather.w_r[:720], weather.w_e[:720],
+                                          n_atoms=spec.n_atoms)
+        return policy, dm, tracking_cost(p, spec.lam), p, RiskParams(theta)
+
+    def test_overflow_raises_before_exp(self):
+        # on the --fast instance gamma * max V is 744 at theta = -10, past
+        # log(float max) ~ 709.78, so W is not representable there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            args = self._fast_policy_args(-10.0)
+            with pytest.raises(ArithmeticError,
+                               match=r"max V = 744\.\d+ exceeds log\(float max\) = 709\.783"):
+                evaluate_policy_W(*args)
+
+    def test_fast_instance_in_range(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            W = evaluate_policy_W(*self._fast_policy_args(-0.1))
+        assert np.all(np.isfinite(W)) and np.all(W > 0.0)
 
 
 class TestBruteForce:
