@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import fields, replace
 
@@ -83,10 +82,6 @@ def _add_mpc_flags(parser):
     _spec_flag(parser, "--epsilon", "eps", "smoothing scale")
 
 
-def _open_out(path):
-    return sys.stdout if path == "-" else open(path, "w", newline="")
-
-
 def cmd_simulate(args) -> int:
     p = _load_plant(args)
     weather = _load_weather(args, p)
@@ -112,18 +107,11 @@ def cmd_dp_solve(args) -> int:
     values, policy = sim.solve_dp(_controller_spec(args, kind="dp"), p,
                                   _load_weather(args, p), _default_n(args))
     grid = policy.grid
-    fh = _open_out(args.out)
-    try:
-        w = csv.writer(fh)
-        w.writerow(["x1", "x2", "V0", "mu0"])
-        for i in range(grid.nnodes):
-            w.writerow([repr(float(grid.node_x1[i])), repr(float(grid.node_x2[i])),
-                        repr(float(values.V[0, i])),
-                        repr(float(policy.actions[policy.mu[0, i]]))])
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
-            print(f"value/policy table written to {args.out} (seed={args.seed})")
+    sim.write_csv(args.out, ["x1", "x2", "V0", "mu0"],
+                  ([repr(float(v)) for v in row] for row in zip(
+                      grid.node_x1, grid.node_x2, values.V[0], policy.actions[policy.mu[0]])))
+    if args.out != "-":
+        print(f"value/policy table written to {args.out} (seed={args.seed})")
     return 0
 
 
@@ -137,9 +125,7 @@ def cmd_compare(args) -> int:
         controllers.append(_controller_spec(args, kind="dp"))
     rows = sim.compare(sim.standard_initial_states(p), controllers, weather, n, p)
     if args.out == "-":
-        for r in rows:
-            print(f"{r.scenario},{r.controller},{r.params},"
-                  f"{r.cumulative_deviation!r},{r.sum_u_sq!r},{r.status}")
+        sim.write_comparison_csv(rows, "-")
     else:
         timing = args.timing_out or (args.out + ".timing")
         sim.write_comparison_csv(rows, args.out, timing_path=timing)

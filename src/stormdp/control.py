@@ -8,8 +8,8 @@ from functools import cached_property
 import numpy as np
 
 from .linearize import OperatingPoint, condense, linearize_at, solve_mpc_qp
-from .plant import PlantParams
-from .riskdp import Grid, PolicyTable
+from .plant import PlantParams, pump_gate
+from .riskdp import PolicyTable
 from .smooth import SmoothParams
 
 __all__ = [
@@ -77,18 +77,16 @@ def mpc_step(t: int, x1: float, x2: float, forecast, cs: ControllerState,
 
 
 def onoff_step(x1: float, x2: float, v: float, p: PlantParams) -> float:
-    """Reactive on/off rule: pump at rate v when the soil is dry and the
-    cistern holds enough water, else stay off; clamped to [0, 1]."""
+    """Reactive on/off rule: pump at rate v, clamped to [0, 1], wherever
+    the plant's pump gate is open, else stay off."""
     if v <= 0:
         raise ValueError("on/off rate v must be positive")
-    if x2 < p.a2 * p.z_veg and x1 >= (p.z_pump + p.z_H) * p.a1:
-        return float(min(v, 1.0))
-    return 0.0
+    return float(min(v, 1.0)) if pump_gate(x1, x2, p) else 0.0
 
 
-def dp_step(t: int, x1: float, x2: float, policy: PolicyTable, grid: Grid) -> float:
-    """Tabulated risk-averse policy looked up at the nearest grid node."""
+def dp_step(t: int, x1: float, x2: float, policy: PolicyTable) -> float:
+    """Tabulated risk-averse policy looked up at the policy grid's nearest node."""
     if t >= policy.horizon:
         raise ValueError("time index beyond the policy horizon")
-    idx = int(grid.nearest(x1, x2))
+    idx = int(policy.grid.nearest(x1, x2))
     return float(policy.actions[policy.mu[t, idx]])

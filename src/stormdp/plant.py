@@ -17,8 +17,10 @@ __all__ = [
     "PlantParams",
     "q_out",
     "q_pump_max",
+    "pump_gate",
     "q_pump",
     "q_drain",
+    "mass_balance",
     "f_rhs",
     "step",
 ]
@@ -136,19 +138,22 @@ def q_pump_max(x1, p: PlantParams):
     return p.b * np.sqrt(radicand)
 
 
-def q_pump(x1, x2, u, p: PlantParams):
-    """Pump flow (m^3/s): a fraction u of the maximum, gated by water levels.
+def pump_gate(x1, x2, p: PlantParams):
+    """True where the pumps may run: the soil is below its desired depth
+    and the cistern level reaches the suction head. Plain arithmetic, so
+    a scalar state costs no array round trip."""
+    return (x2 / p.a2 < p.z_veg) & (x1 / p.a1 >= p.z_pump + p.z_H)
 
-    Zero when the soil is already moist (x2/a2 >= z_veg) or the cistern
-    level is below the suction head (x1/a1 < z_pump + z_H).
-    """
+
+def q_pump(x1, x2, u, p: PlantParams):
+    """Pump flow (m^3/s): a fraction u of the maximum where
+    :func:`pump_gate` is open, else zero."""
     u = np.asarray(u, dtype=float)
     if np.any((u < 0.0) | (u > 1.0)):
         raise ValueError("control fraction u must lie in [0, 1]")
     x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    off = (x2 / p.a2 >= p.z_veg) | (x1 / p.a1 < p.z_pump + p.z_H)
-    return np.where(off, 0.0, u * q_pump_max(x1, p))
+    return np.where(pump_gate(x1, np.asarray(x2, dtype=float), p),
+                    u * q_pump_max(x1, p), 0.0)
 
 
 def q_drain(x2, p: PlantParams):
@@ -158,12 +163,17 @@ def q_drain(x2, p: PlantParams):
     return np.where(x2 < p.z_cap, 0.0, rate)
 
 
+def mass_balance(q_o, q_p, q_d, w_r, w_e, p: PlantParams):
+    """Rates of change of (x1, x2) given the outlet, pump and drain flows:
+    rain on the inlet and the bed, pumping from tank 1 to tank 2, and
+    evapotranspiration from the bed. The smooth surrogate shares it."""
+    w_r = np.asarray(w_r, dtype=float)
+    return w_r * p.a_in - q_o - q_p, w_r * p.a2 + q_p - np.asarray(w_e, dtype=float) - q_d
+
+
 def f_rhs(x1, x2, u, w_r, w_e, p: PlantParams):
-    """Right-hand side of the mass balance: rates of change of (x1, x2)."""
-    qp = q_pump(x1, x2, u, p)
-    f1 = np.asarray(w_r, dtype=float) * p.a_in - q_out(x1, p) - qp
-    f2 = np.asarray(w_r, dtype=float) * p.a2 + qp - np.asarray(w_e, dtype=float) - q_drain(x2, p)
-    return f1, f2
+    """Right-hand side of the exact plant: rates of change of (x1, x2)."""
+    return mass_balance(q_out(x1, p), q_pump(x1, x2, u, p), q_drain(x2, p), w_r, w_e, p)
 
 
 def step(x1, x2, u, w_r, w_e, p: PlantParams):

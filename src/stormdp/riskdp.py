@@ -30,6 +30,7 @@ __all__ = [
     "Grid",
     "DisturbanceModel",
     "CostSpec",
+    "tracking_error",
     "tracking_cost",
     "ValueTable",
     "PolicyTable",
@@ -208,16 +209,23 @@ class CostSpec:
     time_varying: bool = False
 
 
+def tracking_error(x2, p: PlantParams):
+    """Squared soil-depth error (x2/a2 - z_veg)^2, the state term of every
+    controller's cost. Plain arithmetic, so a numpy scalar takes the
+    scalar path and an array the array path."""
+    return (x2 / p.a2 - p.z_veg) ** 2
+
+
 def tracking_cost(p: PlantParams, lam: float = 1e-3) -> CostSpec:
     """Soil-moisture tracking cost shared with the receding-horizon
-    controller: (x2/a2 - z_veg)^2 + lam * u^2, terminal without the
+    controller: the tracking error plus lam * u^2, terminal without the
     control term."""
     def stage(t, x1, x2, u):
         del t
-        return (np.asarray(x2) / p.a2 - p.z_veg) ** 2 + lam * np.asarray(u) ** 2
+        return tracking_error(np.asarray(x2), p) + lam * np.asarray(u) ** 2
 
     def terminal(x1, x2):
-        return (np.asarray(x2) / p.a2 - p.z_veg) ** 2
+        return tracking_error(np.asarray(x2), p)
 
     return CostSpec(stage=stage, terminal=terminal)
 
@@ -227,7 +235,6 @@ class ValueTable:
     """Per-stage values V[t] on grid nodes, t in {0..N}."""
 
     V: np.ndarray  # (N+1, nnodes)
-    grid: Grid
 
 
 @dataclass(frozen=True)
@@ -323,11 +330,12 @@ def entropic_backup(V_next, t: int, rm: RiskParams, grid: Grid, dm: DisturbanceM
     selector. Raises if any value fails to be finite.
     """
     tables = _Tables(grid, actions, dm, costs, p, mode)
-    return _backup(np.asarray(V_next, dtype=float), t, rm.theta, tables)
+    return _backup(np.asarray(V_next, dtype=float), tables.stage_cost(t), rm.theta, tables)
 
 
-def _q_values(V_next, t, theta, tables: _Tables):
-    """c_t(x,u) + psi_t(x,u) for every node and action, shape (nnodes, nA).
+def _q_values(V_next, cost, theta, tables: _Tables):
+    """c_t(x,u) + psi_t(x,u) for every node and action, shape (nnodes, nA),
+    given the stage cost ``cost`` = c_t on the same shape.
 
     ``theta=None`` backs up the plain expectation instead of psi. Under
     nearest-node projection psi takes one exponential per node, shifted
@@ -346,11 +354,11 @@ def _q_values(V_next, t, theta, tables: _Tables):
             psi = m + np.log1p(e[tables.succ] @ tables.dm.p) / gamma
         else:
             psi = _psi(tables.next_values(V_next), tables.dm.p, theta)
-    return tables.stage_cost(t) + psi
+    return cost + psi
 
 
-def _backup(V_next, t, theta, tables: _Tables):
-    v = _q_values(V_next, t, theta, tables)
+def _backup(V_next, cost, theta, tables: _Tables):
+    v = _q_values(V_next, cost, theta, tables)
     if not np.all(np.isfinite(v)):
         raise ArithmeticError("non-finite value in entropic backup")
     mu = np.argmin(v, axis=1)
@@ -373,19 +381,21 @@ def solve(N: int, grid: Grid, actions, dm: DisturbanceModel, costs: CostSpec,
     mu = np.empty((N, grid.nnodes), dtype=np.min_scalar_type(tables.actions.size - 1))
     V[N] = tables.terminal_cost()
     for t in range(N - 1, -1, -1):
-        V[t], mu[t] = _backup(V[t + 1], t, theta, tables)
-    return ValueTable(V=V, grid=grid), PolicyTable(mu=mu, actions=tables.actions, grid=grid)
+        V[t], mu[t] = _backup(V[t + 1], tables.stage_cost(t), theta, tables)
+    return ValueTable(V=V), PolicyTable(mu=mu, actions=tables.actions, grid=grid)
 
 
 def _policy_values(policy_mu: np.ndarray, theta: float, tables: _Tables,
-                   N: int) -> np.ndarray:
+                   stage_cost: Callable) -> np.ndarray:
     """Entropic values V_t of a fixed Markov policy, shape (N+1, nnodes):
-    the backup of ``solve`` with the action taken from the policy."""
+    the backup of ``solve`` with the action taken from the policy and
+    c_t from ``stage_cost(t)``."""
+    N = policy_mu.shape[0]
     rows = np.arange(tables.grid.nnodes)
     V = np.empty((N + 1, tables.grid.nnodes))
     V[N] = tables.terminal_cost()
     for t in range(N - 1, -1, -1):
-        V[t] = _q_values(V[t + 1], t, theta, tables)[rows, policy_mu[t]]
+        V[t] = _q_values(V[t + 1], stage_cost(t), theta, tables)[rows, policy_mu[t]]
     return V
 
 
@@ -399,7 +409,7 @@ def evaluate_policy_W(policy: PolicyTable, dm: DisturbanceModel, costs: CostSpec
     gamma V_t exceeds log(float max), past which W is not representable.
     """
     tables = _Tables(policy.grid, policy.actions, dm, costs, p, mode)
-    V = _policy_values(policy.mu, rm.theta, tables, policy.horizon)
+    V = _policy_values(policy.mu, rm.theta, tables, tables.stage_cost)
     top, limit = rm.gamma * V.max(), np.log(np.finfo(float).max)
     if top > limit:
         raise ArithmeticError(f"policy evaluation overflows: gamma * max V = {top:.6g} "
@@ -426,8 +436,11 @@ def brute_force_optimal(N: int, grid: Grid, actions, dm: DisturbanceModel,
     n_entries = grid.nnodes * N
     if n_actions ** n_entries > MAX_ENUMERATION:
         raise ValueError("policy enumeration too large for brute force")
+    # each stage cost once for every policy; the enumeration bound keeps N tiny
+    stage = {t: tables.stage_cost(t) for t in range(N - 1, -1, -1)}
     policy_values = np.asarray([
-        _policy_values(np.asarray(flat).reshape(N, grid.nnodes), rm.theta, tables, N)[0]
+        _policy_values(np.asarray(flat).reshape(N, grid.nnodes), rm.theta, tables,
+                       stage.__getitem__)[0]
         for flat in itertools.product(range(n_actions), repeat=n_entries)])
     return BruteForceResult(optimal_values=policy_values.min(axis=0),
                             policy_values=policy_values)

@@ -3,10 +3,12 @@ the scenario catalog, and the controller comparison grid."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -22,6 +24,7 @@ __all__ = [
     "ControllerSpec",
     "ComparisonRow",
     "Trace",
+    "write_csv",
     "write_trace_csv",
     "read_trace_csv",
     "load_weather_csv",
@@ -67,10 +70,6 @@ class WeatherSeries:
                 raise ValueError("timestamps must be strictly increasing")
             if np.max(np.abs(dt - dt[0])) > 1e-6:
                 raise ValueError("timestamps must be uniformly sampled")
-
-    @property
-    def dt(self) -> float:
-        return float(self.t[1] - self.t[0]) if self.t.size > 1 else 1.0
 
     def __len__(self) -> int:
         return self.t.size
@@ -243,7 +242,7 @@ def make_controller(spec: ControllerSpec, p: PlantParams, weather: WeatherSeries
 
     if spec.kind == "dp":  # stateless, so one controller serves every start
         policy = solve_dp(spec, p, weather, N)[1]
-        return lambda t, x1, x2: ctl.dp_step(t, x1, x2, policy, policy.grid)
+        return lambda t, x1, x2: ctl.dp_step(t, x1, x2, policy)
 
     raise ValueError(f"unknown controller kind {spec.kind!r}")
 
@@ -277,9 +276,6 @@ class Trace:
     clamp1: np.ndarray
     clamp2: np.ndarray
 
-    def __len__(self) -> int:
-        return self.t.size
-
 
 def run_scenario(sc: Scenario, step_fn=None) -> Trace:
     """Closed loop: controller -> clamp -> exact non-smooth plant step.
@@ -308,7 +304,7 @@ def run_scenario(sc: Scenario, step_fn=None) -> Trace:
         except Exception as exc:
             exc.step = t
             raise
-        cost[t] = (x2[t] / p.a2 - p.z_veg) ** 2
+        cost[t] = riskdp.tracking_error(x2[t], p)
     return Trace(t=p.tau * np.arange(n + 1), x1=x1, x2=x2, u=u,
                  w_r=sc.weather.w_r[:n].copy(), w_e=sc.weather.w_e[:n].copy(),
                  cost=cost, clamp1=clamp1, clamp2=clamp2)
@@ -325,43 +321,38 @@ def cumulative_deviation(trace: Trace, p: PlantParams) -> float:
     return float(np.abs(trace.x2 - p.x2_target).sum())
 
 
-_TRACE_COLUMNS = ["t", "x1", "x2", "u", "w_r", "w_e", "cost", "clamp1", "clamp2"]
-
-
 def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def write_trace_csv(trace: Trace, path) -> None:
-    with open(path, "w", newline="") as fh:
+def write_csv(path, header, rows) -> None:
+    """Write a header and rows as CSV to ``path``, or to stdout if ``path``
+    is ``-``; either way the same bytes."""
+    with (contextlib.nullcontext(sys.stdout) if path == "-"
+          else open(path, "w", newline="")) as fh:
         w = csv.writer(fh)
-        w.writerow(_TRACE_COLUMNS)
-        n = trace.u.size
-        for i in range(n + 1):
-            row = [_fmt(trace.t[i]), _fmt(trace.x1[i]), _fmt(trace.x2[i])]
-            if i < n:
-                row += [_fmt(trace.u[i]), _fmt(trace.w_r[i]), _fmt(trace.w_e[i]),
-                        _fmt(trace.cost[i]), _fmt(trace.clamp1[i]), _fmt(trace.clamp2[i])]
-            else:
-                row += [""] * 6
-            w.writerow(row)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_trace_csv(trace: Trace, path) -> None:
+    """One row per state; the last row leaves the per-step columns empty."""
+    names = [f.name for f in fields(Trace)]
+    cols = [getattr(trace, name) for name in names]
+    write_csv(path, names, ([_fmt(c[i]) if i < c.size else "" for c in cols]
+                            for i in range(trace.t.size)))
 
 
 def read_trace_csv(path) -> Trace:
+    names = [f.name for f in fields(Trace)]
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header != _TRACE_COLUMNS:
+        if next(reader) != names:
             raise ValueError("unexpected trace header")
         rows = [row for row in reader if row]
-    n = len(rows) - 1
-    cols = {name: [] for name in _TRACE_COLUMNS}
-    for i, row in enumerate(rows):
-        for j, name in enumerate(_TRACE_COLUMNS):
-            if j >= 3 and i == n:
-                continue
-            cols[name].append(float(row[j]))
-    return Trace(**{k: np.asarray(v) for k, v in cols.items()})
+    # t, x1 and x2 have one row more than the per-step columns
+    return Trace(**{name: np.array([float(row[j]) for row in (rows if j < 3 else rows[:-1])])
+                    for j, name in enumerate(names)})
 
 
 @dataclass(frozen=True)
@@ -415,16 +406,11 @@ def write_comparison_csv(rows: list[ComparisonRow], path,
     The main CSV holds only deterministic columns so identical seeds give
     byte-identical files; wall-clock timings go to ``timing_path``.
     """
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["scenario", "controller", "params",
-                    "cumulative_deviation_m3_steps", "sum_u_sq", "status"])
-        for r in rows:
-            w.writerow([r.scenario, r.controller, r.params,
-                        _fmt(r.cumulative_deviation), _fmt(r.sum_u_sq), r.status])
+    write_csv(path, ["scenario", "controller", "params",
+                     "cumulative_deviation_m3_steps", "sum_u_sq", "status"],
+              ([r.scenario, r.controller, r.params, _fmt(r.cumulative_deviation),
+                _fmt(r.sum_u_sq), r.status] for r in rows))
     if timing_path is not None:
-        with open(timing_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["scenario", "controller", "params", "runtime_s"])
-            for r in rows:
-                w.writerow([r.scenario, r.controller, r.params, f"{r.runtime_s:.6f}"])
+        write_csv(timing_path, ["scenario", "controller", "params", "runtime_s"],
+                  ([r.scenario, r.controller, r.params, f"{r.runtime_s:.6f}"]
+                   for r in rows))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .plant import PlantParams
+from .plant import PlantParams, mass_balance
 
 __all__ = [
     "SmoothParams",
@@ -147,15 +147,10 @@ def q_drain_eps(x2, sp: SmoothParams):
     return _drain(x2, sp)[0]
 
 
-def _mass_balance(q_o, q_p, q_d, w_r, w_e, p: PlantParams):
-    w_r = np.asarray(w_r, dtype=float)
-    return w_r * p.a_in - q_o - q_p, w_r * p.a2 + q_p - np.asarray(w_e, dtype=float) - q_d
-
-
 def f_eps_rhs(x1, x2, u, w_r, w_e, sp: SmoothParams):
     """Smooth vector field: same mass balance as the exact plant."""
-    return _mass_balance(q_out_eps(x1, sp), q_pump_eps(x1, x2, u, sp),
-                         q_drain_eps(x2, sp), w_r, w_e, sp.plant)
+    return mass_balance(q_out_eps(x1, sp), q_pump_eps(x1, x2, u, sp),
+                        q_drain_eps(x2, sp), w_r, w_e, sp.plant)
 
 
 def f_eps_jacobians(x1, x2, u, w_r, w_e, sp: SmoothParams):
@@ -165,7 +160,7 @@ def f_eps_jacobians(x1, x2, u, w_r, w_e, sp: SmoothParams):
     q_o, dqo = _outlet(x1, sp)
     q_p, qp_x1, qp_x2, qp_u = _pump(x1, x2, u, sp)
     q_d, dqd = _drain(x2, sp)
-    f1, f2 = _mass_balance(q_o, q_p, q_d, w_r, w_e, p)
+    f1, f2 = mass_balance(q_o, q_p, q_d, w_r, w_e, p)
     return (np.array([float(f1), float(f2)]),
             np.array([[-dqo - qp_x1, -qp_x2], [qp_x1, qp_x2 - dqd]]),
             np.array([[-qp_u], [qp_u]]),

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import csv
+import io
 import json
 import re
 from dataclasses import fields
@@ -137,11 +139,22 @@ class TestCompare:
         assert code == 0
         assert dp_row.split(",")[3] == sim_out.split("cumulative_deviation=")[1].strip()
 
-    def test_stdout_mode(self, capsys):
-        code, out, _ = run(["compare", "--fast", "-N", "30",
-                            "--onoff-v", "0.5"], capsys)
+    def test_stdout_mode(self, tmp_path, capsys, monkeypatch):
+        # stdout carries the CSV a path gets, header and quoting included
+        argv = ["compare", "--fast", "-N", "30", "--onoff-v", "0.5"]
+        out_csv = tmp_path / "cmp.csv"
+        assert run(argv + ["--out", str(out_csv)], capsys)[0] == 0
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(argv, capsys)
         assert code == 0
         assert "low-low" in out and "high-high" in out
+        rows = list(csv.reader(io.StringIO(out)))
+        with open(out_csv, newline="") as fh:
+            assert rows == list(csv.reader(fh))
+        assert rows[0][0] == "scenario"
+        assert rows[1][2] == "mpc(lam=0.001,M=10)"
+        # and no timing file next to it
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["cmp.csv", "cmp.csv.timing"]
 
 
 class TestLint:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _instances import oracle_instance
 from stormdp.control import (
@@ -11,10 +13,19 @@ from stormdp.control import (
     mpc_step,
     onoff_step,
 )
-from stormdp.plant import PlantParams, f_rhs
+from stormdp.plant import PlantParams, f_rhs, q_pump
 from stormdp.riskdp import Grid, RiskParams, evaluate_policy_W, solve, tracking_cost
 
 P = PlantParams()
+
+
+def _around(v):
+    """v and one float step either side of it."""
+    return [float(np.nextafter(v, -np.inf)), float(v), float(np.nextafter(v, np.inf))]
+
+
+GATE_X1 = _around(P.pump_gate_volume)
+GATE_X2 = _around(P.x2_target)
 
 
 class TestOnOff:
@@ -35,6 +46,18 @@ class TestOnOff:
 
     def test_stateless_idempotent(self):
         assert onoff_step(60.0, 1.0, 0.7, P) == onoff_step(60.0, 1.0, 0.7, P)
+
+    @pytest.mark.parametrize("x2", GATE_X2)
+    @pytest.mark.parametrize("x1", GATE_X1)
+    def test_gate_edges_match_the_plant(self, x1, x2):
+        assert (onoff_step(x1, x2, 0.5, P) > 0) == (q_pump(x1, x2, 1.0, P) > 0)
+
+    @given(x1=st.sampled_from(GATE_X1) | st.floats(0.0, P.cap1),
+           x2=st.sampled_from(GATE_X2) | st.floats(0.0, P.cap2),
+           v=st.floats(1e-6, 2.0))
+    @settings(max_examples=200, deadline=None)
+    def test_pumps_exactly_where_the_plant_pumps(self, x1, x2, v):
+        assert (onoff_step(x1, x2, v, P) > 0) == (q_pump(x1, x2, 1.0, P) > 0)
 
 
 class TestMpc:
@@ -98,12 +121,12 @@ class TestDpStep:
         inst = oracle_instance()
         _, policy = solve(inst.N, inst.grid, inst.actions, inst.dm, inst.costs,
                           inst.plant, RiskParams(-1.0))
-        u = dp_step(0, 75.0, 0.0, policy, inst.grid)
+        u = dp_step(0, 75.0, 0.0, policy)
         assert u == float(inst.actions[policy.mu[0, 1]])
         with pytest.raises(ValueError):
-            dp_step(inst.N, 75.0, 0.0, policy, inst.grid)
+            dp_step(inst.N, 75.0, 0.0, policy)
         with pytest.raises(ValueError):
-            dp_step(0, 500.0, 0.0, policy, inst.grid)
+            dp_step(0, 500.0, 0.0, policy)
 
     def test_rollout_attains_value(self):
         # the extracted policy's risk value equals V_0 on the finite MDP
@@ -135,4 +158,4 @@ class TestAllControllersAtRest:
         dm = DisturbanceModel(w_r=[0.0], w_e=[0.0], p=[1.0])
         _, policy = solve(3, grid, np.linspace(0, 1, 3), dm, tracking_cost(P),
                           P, RiskParams(-1.0))
-        assert dp_step(0, x1, x2, policy, grid) == 0.0
+        assert dp_step(0, x1, x2, policy) == 0.0
