@@ -124,11 +124,11 @@ def cmd_compare(args) -> int:
     if args.with_dp:
         controllers.append(_controller_spec(args, kind="dp"))
     rows = sim.compare(sim.standard_initial_states(p), controllers, weather, n, p)
-    if args.out == "-":
-        sim.write_comparison_csv(rows, "-")
-    else:
-        timing = args.timing_out or (args.out + ".timing")
-        sim.write_comparison_csv(rows, args.out, timing_path=timing)
+    timing = args.timing_out
+    if args.out != "-" and timing is None:
+        timing = args.out + ".timing"
+    sim.write_comparison_csv(rows, args.out, timing_path=timing)
+    if args.out != "-":
         print(f"comparison written to {args.out} (timings: {timing}, seed={args.seed})")
     return 1 if any(r.status != "ok" for r in rows) else 0
 
@@ -208,8 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--with-dp", action="store_true",
                        help="include the tabulated DP controller")
     p_cmp.add_argument("--timing-out", default=None,
-                       help="wall-clock timings CSV (kept out of the main CSV "
-                            "so repeated runs are byte-identical)")
+                       help="wall-clock timings CSV, by default <out>.timing and "
+                            "none with --out - (kept out of the main CSV so "
+                            "repeated runs are byte-identical)")
     p_cmp.set_defaults(func=cmd_compare)
 
     p_lint = sub.add_parser("lint", help="validate config and weather files")

@@ -76,17 +76,18 @@ def mpc_step(t: int, x1: float, x2: float, forecast, cs: ControllerState,
     return u, ControllerState(u_bar=u, w_bar=w_bar, history=history)
 
 
-def onoff_step(x1: float, x2: float, v: float, p: PlantParams) -> float:
+def onoff_step(x1, x2, v: float, p: PlantParams):
     """Reactive on/off rule: pump at rate v, clamped to [0, 1], wherever
-    the plant's pump gate is open, else stay off."""
+    the plant's pump gate is open, else stay off. Elementwise on state
+    arrays."""
     if v <= 0:
         raise ValueError("on/off rate v must be positive")
-    return float(min(v, 1.0)) if pump_gate(x1, x2, p) else 0.0
+    return np.where(pump_gate(x1, x2, p), min(v, 1.0), 0.0)
 
 
-def dp_step(t: int, x1: float, x2: float, policy: PolicyTable) -> float:
-    """Tabulated risk-averse policy looked up at the policy grid's nearest node."""
+def dp_step(t: int, x1, x2, policy: PolicyTable):
+    """Tabulated risk-averse policy looked up at the policy grid's nearest
+    node. Elementwise on state arrays."""
     if t >= policy.horizon:
         raise ValueError("time index beyond the policy horizon")
-    idx = int(policy.grid.nearest(x1, x2))
-    return float(policy.actions[policy.mu[t, idx]])
+    return policy.actions[policy.mu[t, policy.grid.nearest(x1, x2)]]

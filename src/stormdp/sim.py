@@ -285,28 +285,34 @@ def run_scenario(sc: Scenario, step_fn=None) -> Trace:
     inputs. A controller or model error propagates with its own type and
     carries the failing step index as its ``step`` attribute.
     """
-    p = sc.plant
     if step_fn is None:
-        step_fn = make_controller(sc.controller, p, sc.weather, sc.N)
-    n = sc.N
-    x1 = np.empty(n + 1)
-    x2 = np.empty(n + 1)
-    u = np.empty(n)
-    cost = np.empty(n)
-    clamp1 = np.empty(n)
-    clamp2 = np.empty(n)
-    x1[0], x2[0] = sc.x0
+        step_fn = make_controller(sc.controller, sc.plant, sc.weather, sc.N)
+    return _closed_loop(sc.x0, sc.N, step_fn, sc.weather, sc.plant)
+
+
+def _closed_loop(x0, n: int, step_fn, weather: WeatherSeries, p: PlantParams) -> Trace:
+    """The loop body of :func:`run_scenario`. ``x0`` is one start, two
+    floats, or m starts, two arrays of shape (m,); the states then have
+    shape (n+1,) or (n+1, m) and ``step_fn`` maps state rows to controls."""
+    cells = np.shape(x0[0])
+    x1 = np.empty((n + 1, *cells))
+    x2 = np.empty((n + 1, *cells))
+    u = np.empty((n, *cells))
+    cost = np.empty((n, *cells))
+    clamp1 = np.empty((n, *cells))
+    clamp2 = np.empty((n, *cells))
+    x1[0], x2[0] = x0
     for t in range(n):
         try:
             u[t] = np.clip(step_fn(t, x1[t], x2[t]), 0.0, 1.0)
             x1[t + 1], x2[t + 1], clamp1[t], clamp2[t] = plant_mod.step(
-                x1[t], x2[t], u[t], sc.weather.w_r[t], sc.weather.w_e[t], p)
+                x1[t], x2[t], u[t], weather.w_r[t], weather.w_e[t], p)
         except Exception as exc:
             exc.step = t
             raise
         cost[t] = riskdp.tracking_error(x2[t], p)
     return Trace(t=p.tau * np.arange(n + 1), x1=x1, x2=x2, u=u,
-                 w_r=sc.weather.w_r[:n].copy(), w_e=sc.weather.w_e[:n].copy(),
+                 w_r=weather.w_r[:n].copy(), w_e=weather.w_e[:n].copy(),
                  cost=cost, clamp1=clamp1, clamp2=clamp2)
 
 
@@ -371,32 +377,78 @@ def compare(initial_states: dict[str, tuple[float, float]],
             N: int, p: PlantParams) -> list[ComparisonRow]:
     """Run every (start, controller) cell over the shared weather/horizon.
 
-    Failing cells are marked and the rest of the grid still runs. Each
-    ``dp`` spec's policy is solved once and shared by every start.
+    The stateless cells, every start under each ``onoff`` and ``dp``
+    spec, run as the columns of one closed loop; each ``dp`` spec's policy
+    is solved once and shared by its columns. Their rows' ``runtime_s`` is
+    that batch's wall time split evenly across its columns. MPC cells run
+    one at a time. Failing cells are marked and the rest of the grid still
+    runs: if the batch fails, its cells run again one at a time, so each
+    row keeps its own status.
     """
-    rows = []
-    dp_controllers = {}
+    rows = {}
+    step_fns = {}
+    groups = []   # per stateless spec: its slice of columns and its controller
+    cells = []    # per column: its scenario and spec index
+    start = time.perf_counter()
+    for i, spec in enumerate(controllers):
+        if spec.kind not in ("onoff", "dp"):   # MPC carries state between steps
+            continue
+        try:
+            step_fns[i] = make_controller(spec, p, weather, N)
+            scs = [Scenario(name=name, x0=x0, N=N, controller=spec, weather=weather, plant=p)
+                   for name, x0 in initial_states.items()]
+        except Exception:
+            continue   # its cells run one at a time below and report the error
+        groups.append((slice(len(cells), len(cells) + len(scs)), step_fns[i]))
+        cells += [(sc, i) for sc in scs]
+
+    def step_fn(t, x1, x2):
+        return np.concatenate([fn(t, x1[cols], x2[cols]) for cols, fn in groups])
+
+    if cells:
+        try:
+            trace = _closed_loop(tuple(np.array([sc.x0 for sc, _ in cells]).T), N,
+                                 step_fn, weather, p)
+        except Exception:
+            pass   # each cell runs again alone below and reports its own failure
+        else:
+            runtime = (time.perf_counter() - start) / len(cells)
+            for j, (sc, i) in enumerate(cells):
+                rows[sc.name, i] = _row(sc.name, sc.controller, _column(trace, j),
+                                        runtime, p)
     for name, x0 in initial_states.items():
         for i, spec in enumerate(controllers):
-            start = time.perf_counter()
-            try:
-                sc = Scenario(name=name, x0=x0, N=N, controller=spec,
-                              weather=weather, plant=p)
-                if spec.kind == "dp" and i not in dp_controllers:
-                    dp_controllers[i] = make_controller(spec, p, weather, N)
-                trace = run_scenario(sc, dp_controllers.get(i))
-                rows.append(ComparisonRow(
-                    scenario=name, controller=spec.kind, params=spec.label,
-                    cumulative_deviation=cumulative_deviation(trace, p),
-                    sum_u_sq=float((trace.u ** 2).sum()), status="ok",
-                    runtime_s=time.perf_counter() - start))
-            except Exception as exc:
-                rows.append(ComparisonRow(
-                    scenario=name, controller=spec.kind, params=spec.label,
-                    cumulative_deviation=math.nan, sum_u_sq=math.nan,
-                    status=f"failed: {describe_failure(exc)}",
-                    runtime_s=time.perf_counter() - start))
-    return rows
+            if (name, i) not in rows:
+                rows[name, i] = _run_cell(name, x0, spec, weather, N, p, step_fns.get(i))
+    return [rows[name, i] for name in initial_states for i in range(len(controllers))]
+
+
+def _run_cell(name, x0, spec, weather, N, p, step_fn=None) -> ComparisonRow:
+    """One comparison cell run alone; a failure becomes its status."""
+    start = time.perf_counter()
+    try:
+        trace = run_scenario(Scenario(name=name, x0=x0, N=N, controller=spec,
+                                      weather=weather, plant=p), step_fn)
+    except Exception as exc:
+        return ComparisonRow(scenario=name, controller=spec.kind, params=spec.label,
+                             cumulative_deviation=math.nan, sum_u_sq=math.nan,
+                             status=f"failed: {describe_failure(exc)}",
+                             runtime_s=time.perf_counter() - start)
+    return _row(name, spec, trace, time.perf_counter() - start, p)
+
+
+def _row(name, spec, trace, runtime_s, p) -> ComparisonRow:
+    return ComparisonRow(scenario=name, controller=spec.kind, params=spec.label,
+                         cumulative_deviation=cumulative_deviation(trace, p),
+                         sum_u_sq=float((trace.u ** 2).sum()), status="ok",
+                         runtime_s=runtime_s)
+
+
+def _column(trace: Trace, j: int) -> Trace:
+    """Cell ``j`` of a batched trace, each field contiguous as a run of
+    that cell alone leaves it, so reductions over it match bit for bit."""
+    return Trace(**{f.name: (a[:, j].copy() if a.ndim == 2 else a)
+                    for f in fields(Trace) for a in [getattr(trace, f.name)]})
 
 
 def write_comparison_csv(rows: list[ComparisonRow], path,

@@ -156,6 +156,19 @@ class TestCompare:
         # and no timing file next to it
         assert sorted(f.name for f in tmp_path.iterdir()) == ["cmp.csv", "cmp.csv.timing"]
 
+    def test_stdout_mode_writes_the_timing_file_it_is_given(self, tmp_path, capsys):
+        timing = tmp_path / "t.csv"
+        code, out, _ = run(["compare", "--fast", "-N", "10", "--onoff-v", "0.5",
+                            "--out", "-", "--timing-out", str(timing)], capsys)
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        with open(timing, newline="") as fh:
+            timings = list(csv.reader(fh))
+        assert timings[0] == ["scenario", "controller", "params", "runtime_s"]
+        # one timing per CSV row: 3 starts x (mpc, onoff)
+        assert len(timings) == 1 + 6
+        assert [t[:3] for t in timings[1:]] == [r[:3] for r in rows[1:]]
+
 
 class TestLint:
     def test_nothing_to_lint(self, capsys):

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stormdp import riskdp
+from stormdp import plant, riskdp
 from stormdp.linearize import NearSingularSystem
 from stormdp.plant import PlantParams
 from stormdp.sim import (
@@ -13,6 +15,7 @@ from stormdp.sim import (
     compare,
     cumulative_deviation,
     load_weather_csv,
+    make_controller,
     read_trace_csv,
     run_scenario,
     standard_initial_states,
@@ -23,6 +26,38 @@ from stormdp.sim import (
 )
 
 P = PlantParams(tau=60.0)
+DP_9 = ControllerSpec(kind="dp", grid_shape=(9, 9), n_actions=3)
+
+
+def _midpoints(nodes):
+    return [float((a + b) / 2) for a, b in zip(nodes, nodes[1:])]
+
+
+# starts where the scalar and array paths could part: the pump gate's and
+# the target's exact values, and ties between two of DP_9's grid nodes
+EDGE_X1 = [P.pump_gate_volume] + _midpoints(np.linspace(0.0, P.cap1, 9))
+EDGE_X2 = [P.x2_target] + _midpoints(np.linspace(0.0, P.cap2, 9))
+
+
+def _alone(name, x0, spec, weather, N, step_fn=None):
+    """(cumulative deviation, sum of u^2) of one cell run on its own."""
+    trace = run_scenario(Scenario(name=name, x0=x0, N=N, controller=spec,
+                                  weather=weather, plant=P), step_fn)
+    return cumulative_deviation(trace, P), float((trace.u ** 2).sum())
+
+
+def _assert_rows_match_single_cells(starts, specs, weather, N):
+    rows = compare(starts, specs, weather, N, P)
+    step_fns = {i: make_controller(spec, P, weather, N)
+                for i, spec in enumerate(specs) if spec.kind == "dp"}
+    cells = [(name, x0, i) for name, x0 in starts.items() for i in range(len(specs))]
+    assert len(rows) == len(cells)
+    # one batch ran them all: its wall time is split evenly across the rows
+    assert len({row.runtime_s for row in rows}) == 1
+    for row, (name, x0, i) in zip(rows, cells):
+        assert (row.scenario, row.params, row.status) == (name, specs[i].label, "ok")
+        assert (row.cumulative_deviation, row.sum_u_sq) == _alone(
+            name, x0, specs[i], weather, N, step_fns.get(i))
 
 
 class TestWeatherSeries:
@@ -257,6 +292,49 @@ class TestCompare:
         write_comparison_csv(rows, a)
         write_comparison_csv(rows, b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_batched_cells_equal_single_cells(self):
+        specs = [ControllerSpec(kind="onoff", v=v) for v in (0.2, 0.5, 1.0, 2.0)]
+        _assert_rows_match_single_cells(standard_initial_states(P), specs + [DP_9],
+                                        wet_12h(dt=60.0), 120)
+
+    @given(starts=st.lists(st.tuples(st.sampled_from(EDGE_X1) | st.floats(0.0, P.cap1),
+                                     st.sampled_from(EDGE_X2) | st.floats(0.0, P.cap2)),
+                           min_size=1, max_size=3))
+    @settings(max_examples=25, deadline=None)
+    def test_batched_cells_equal_single_cells_at_edges(self, starts):
+        specs = [ControllerSpec(kind="onoff", v=0.5), ControllerSpec(kind="onoff", v=2.0),
+                 DP_9]
+        _assert_rows_match_single_cells({f"s{k}": x0 for k, x0 in enumerate(starts)},
+                                        specs, wet_12h(dt=60.0), 30)
+
+    def test_stateless_cells_share_one_loop(self, monkeypatch):
+        shapes = []
+        step = plant.step
+
+        def counting_step(x1, *args):
+            shapes.append(np.shape(x1))
+            return step(x1, *args)
+
+        monkeypatch.setattr(plant, "step", counting_step)
+        specs = [ControllerSpec(kind="onoff", v=0.2), ControllerSpec(kind="onoff", v=0.5),
+                 DP_9]
+        rows = compare(standard_initial_states(P), specs, wet_12h(dt=60.0), 50, P)
+        assert [r.status for r in rows] == ["ok"] * 9
+        # the DP builds its table in one call on the whole grid; every other
+        # call is a closed-loop step, one per step for all 9 cells
+        assert [s for s in shapes if len(s) <= 1] == [(9,)] * 50
+
+    def test_failing_batched_cell_fails_alone(self):
+        starts = standard_initial_states(P)
+        w = wet_12h(dt=60.0)
+        good = ControllerSpec(kind="onoff", v=0.5)
+        rows = compare(starts, [ControllerSpec(kind="onoff", v=0.0), good], w, 50, P)
+        assert [r.status for r in rows[0::2]] == [
+            "failed: ValueError at step 0: on/off rate v must be positive"] * 3
+        for row, (name, x0) in zip(rows[1::2], starts.items()):
+            assert row.status == "ok"
+            assert (row.cumulative_deviation, row.sum_u_sq) == _alone(name, x0, good, w, 50)
 
     def test_dp_solved_once_per_compare(self, monkeypatch):
         calls = []
