@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -66,6 +67,10 @@ class PlantParams:
             object.__setattr__(self, "cap1", 2.0 * self.a1 * self.z_o)
         if self.cap2 is None:
             object.__setattr__(self, "cap2", self.a2 * self.z_soil)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ValueError(f"parameter {f.name!r} must be a finite number")
         for name in ("a1", "a2", "a_pump", "a_in", "c_d", "d", "D", "F",
                      "g", "K", "k_L", "l", "r_o", "tau", "z_H", "z_o",
                      "z_pump", "z_soil", "z_veg"):

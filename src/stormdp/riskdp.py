@@ -5,13 +5,13 @@ The backward recursion replaces the expectation backup with the entropic
 one, psi = (-2/theta) log E[exp((-theta/2) V_next)]. Under nearest-node
 projection the expectation is linear in the node-wise vector
 exp((-theta/2) V_next), so each stage takes one exponential per grid
-node, shifted by min V_next. Where that vector would overflow, and under
-multilinear projection, psi falls back to a log-sum-exp shifted by each
-row's maximum. Policy evaluation runs the same backup with the action
-fixed instead of minimized. Nearest-node projection turns the
-deterministic plant plus finite disturbance atoms into an exactly finite
-MDP, held in one table of projected successors and stage costs that the
-solver, policy evaluation and the brute-force policy enumeration share.
+node, shifted by min V_next. Where that vector would overflow, psi falls
+back to a log-sum-exp shifted by each row's maximum. Policy evaluation
+runs the same backup with the action fixed instead of minimized.
+Nearest-node projection turns the deterministic plant plus finite
+disturbance atoms into an exactly finite MDP, held in one table of
+projected successors and stage costs that the solver, policy evaluation
+and the brute-force policy enumeration share.
 """
 
 from __future__ import annotations
@@ -90,40 +90,16 @@ class Grid:
         x2 = np.linspace(0.0, p.cap2, n2) if n2 > 1 else np.array([p.cap2])
         return cls(x1, x2)
 
-    def _check_in_box(self, x1, x2):
-        tol = 1e-9
-        lo1, hi1 = self.x1_nodes[0], self.x1_nodes[-1]
-        lo2, hi2 = self.x2_nodes[0], self.x2_nodes[-1]
-        bad = ((np.asarray(x1) < lo1 - tol) | (np.asarray(x1) > hi1 + tol)
-               | (np.asarray(x2) < lo2 - tol) | (np.asarray(x2) > hi2 + tol))
-        if np.any(bad):
-            raise ValueError("state outside the grid's state box")
-
     def nearest(self, x1, x2):
-        """Flat index of the closest node; distance ties go to the lower index."""
-        self._check_in_box(x1, x2)
+        """Flat index of the closest node; distance ties go to the lower index.
+        Raises if a state lies outside the grid's box by more than 1e-9."""
+        tol = 1e-9
+        x1, x2 = np.asarray(x1), np.asarray(x2)
+        if np.any((x1 < self.x1_nodes[0] - tol) | (x1 > self.x1_nodes[-1] + tol)
+                  | (x2 < self.x2_nodes[0] - tol) | (x2 > self.x2_nodes[-1] + tol)):
+            raise ValueError("state outside the grid's state box")
         return (_nearest_1d(self.x1_nodes, x1) * self.n2
                 + _nearest_1d(self.x2_nodes, x2))
-
-    def multilinear(self, x1, x2):
-        """Up-to-4 cell corners with convex weights; exactness on nodes."""
-        self._check_in_box(x1, x2)
-        j1, t1 = _cell_coord(self.x1_nodes, x1)
-        j2, t2 = _cell_coord(self.x2_nodes, x2)
-        j1 = np.asarray(j1)
-        idx = np.stack([
-            j1 * self.n2 + j2,
-            j1 * self.n2 + np.minimum(j2 + 1, self.n2 - 1),
-            np.minimum(j1 + 1, self.n1 - 1) * self.n2 + j2,
-            np.minimum(j1 + 1, self.n1 - 1) * self.n2 + np.minimum(j2 + 1, self.n2 - 1),
-        ], axis=-1)
-        w = np.stack([
-            (1 - t1) * (1 - t2),
-            (1 - t1) * t2,
-            t1 * (1 - t2),
-            t1 * t2,
-        ], axis=-1)
-        return idx, w
 
 
 def _nearest_1d(nodes: np.ndarray, x):
@@ -134,16 +110,6 @@ def _nearest_1d(nodes: np.ndarray, x):
     lower = x - nodes[j - 1]
     upper = nodes[j] - x
     return np.where(lower <= upper, j - 1, j)
-
-
-def _cell_coord(nodes: np.ndarray, x):
-    x = np.asarray(x, dtype=float)
-    if nodes.size == 1:
-        zero = np.zeros(x.shape) if x.shape else 0.0
-        return (np.zeros(x.shape, dtype=int) if x.shape else 0), zero
-    j = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, nodes.size - 2)
-    t = (x - nodes[j]) / (nodes[j + 1] - nodes[j])
-    return j, np.clip(t, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -263,7 +229,7 @@ class _Tables:
     """
 
     def __init__(self, grid: Grid, actions, dm: DisturbanceModel, costs: CostSpec,
-                 p: PlantParams, mode: str):
+                 p: PlantParams):
         self.grid = grid
         self.actions = np.asarray(actions, dtype=float)
         self.dm = dm
@@ -276,22 +242,10 @@ class _Tables:
         x1n, x2n, _, _ = plant_mod.step(x1, x2, u, wr, we, p)
         x1n = np.clip(x1n, grid.x1_nodes[0], grid.x1_nodes[-1])
         x2n = np.clip(x2n, grid.x2_nodes[0], grid.x2_nodes[-1])
-        if mode == "nearest":
-            self.succ = grid.nearest(x1n, x2n)
-            self.weights = None
-        elif mode == "multilinear":
-            self.succ, self.weights = grid.multilinear(x1n, x2n)
-        else:
-            raise ValueError(f"unknown projection mode {mode!r}")
+        self.succ = grid.nearest(x1n, x2n)
         self._fixed_cost = None
         if not costs.time_varying:
             self._fixed_cost = self.stage_cost(0)
-
-    def next_values(self, V_next: np.ndarray) -> np.ndarray:
-        """V_next at projected successors, shape (nnodes, nA, natoms)."""
-        if self.weights is None:
-            return V_next[self.succ]
-        return (V_next[self.succ] * self.weights).sum(axis=-1)
 
     def stage_cost(self, t: int) -> np.ndarray:
         """c_t(x, u) on every node and action, shape (nnodes, nA)."""
@@ -322,14 +276,13 @@ def _psi(V_succ: np.ndarray, p: np.ndarray, theta: float) -> np.ndarray:
 
 
 def entropic_backup(V_next, t: int, rm: RiskParams, grid: Grid, dm: DisturbanceModel,
-                    actions, costs: CostSpec, p: PlantParams,
-                    mode: str = "nearest"):
+                    actions, costs: CostSpec, p: PlantParams):
     """One backward step: V_t(x) = min_u [c_t(x,u) + psi_t(x,u)].
 
     Argmin ties resolve to the smallest action index, a fixed measurable
     selector. Raises if any value fails to be finite.
     """
-    tables = _Tables(grid, actions, dm, costs, p, mode)
+    tables = _Tables(grid, actions, dm, costs, p)
     return _backup(np.asarray(V_next, dtype=float), tables.stage_cost(t), rm.theta, tables)
 
 
@@ -337,23 +290,21 @@ def _q_values(V_next, cost, theta, tables: _Tables):
     """c_t(x,u) + psi_t(x,u) for every node and action, shape (nnodes, nA),
     given the stage cost ``cost`` = c_t on the same shape.
 
-    ``theta=None`` backs up the plain expectation instead of psi. Under
-    nearest-node projection psi takes one exponential per node, shifted
-    by min V'; expm1/log1p keep rows whose atoms share a successor
-    exact. Past EXP_SHIFT_LIMIT, and under multilinear projection, where
-    exp does not commute with the corner interpolation, it takes the
-    per-row max shift of ``_psi``.
+    ``theta=None`` backs up the plain expectation instead of psi. psi
+    takes one exponential per node, shifted by min V'; expm1/log1p keep
+    rows whose atoms share a successor exact. Past EXP_SHIFT_LIMIT it
+    takes the per-row max shift of ``_psi``.
     """
     if theta is None:
-        psi = (tables.next_values(V_next) * tables.dm.p).sum(axis=-1)
+        psi = (V_next[tables.succ] * tables.dm.p).sum(axis=-1)
     else:
         gamma = -theta / 2.0
         m = V_next.min()
-        if tables.weights is None and gamma * (V_next.max() - m) <= EXP_SHIFT_LIMIT:
+        if gamma * (V_next.max() - m) <= EXP_SHIFT_LIMIT:
             e = np.expm1(gamma * (V_next - m))
             psi = m + np.log1p(e[tables.succ] @ tables.dm.p) / gamma
         else:
-            psi = _psi(tables.next_values(V_next), tables.dm.p, theta)
+            psi = _psi(V_next[tables.succ], tables.dm.p, theta)
     return cost + psi
 
 
@@ -366,7 +317,7 @@ def _backup(V_next, cost, theta, tables: _Tables):
 
 
 def solve(N: int, grid: Grid, actions, dm: DisturbanceModel, costs: CostSpec,
-          p: PlantParams, rm: RiskParams | None, mode: str = "nearest"):
+          p: PlantParams, rm: RiskParams | None):
     """Backward induction over N stages.
 
     ``rm=None`` runs the risk-neutral solver (plain expectation backup),
@@ -375,7 +326,7 @@ def solve(N: int, grid: Grid, actions, dm: DisturbanceModel, costs: CostSpec,
     """
     if N < 1:
         raise ValueError("horizon N must be at least 1")
-    tables = _Tables(grid, actions, dm, costs, p, mode)
+    tables = _Tables(grid, actions, dm, costs, p)
     theta = None if rm is None else rm.theta
     V = np.empty((N + 1, grid.nnodes))
     mu = np.empty((N, grid.nnodes), dtype=np.min_scalar_type(tables.actions.size - 1))
@@ -400,15 +351,14 @@ def _policy_values(policy_mu: np.ndarray, theta: float, tables: _Tables,
 
 
 def evaluate_policy_W(policy: PolicyTable, dm: DisturbanceModel, costs: CostSpec,
-                      p: PlantParams, rm: RiskParams,
-                      mode: str = "nearest") -> np.ndarray:
+                      p: PlantParams, rm: RiskParams) -> np.ndarray:
     """Multiplicative policy evaluation W_t(x) = E[exp(gamma Z_t) | x].
 
     Computed as exp(gamma V_t) from the policy's entropic values; every
     returned value is strictly positive. Raises ArithmeticError where
     gamma V_t exceeds log(float max), past which W is not representable.
     """
-    tables = _Tables(policy.grid, policy.actions, dm, costs, p, mode)
+    tables = _Tables(policy.grid, policy.actions, dm, costs, p)
     V = _policy_values(policy.mu, rm.theta, tables, tables.stage_cost)
     top, limit = rm.gamma * V.max(), np.log(np.finfo(float).max)
     if top > limit:
@@ -427,11 +377,11 @@ class BruteForceResult:
 
 
 def brute_force_optimal(N: int, grid: Grid, actions, dm: DisturbanceModel,
-                        costs: CostSpec, p: PlantParams, rm: RiskParams,
-                        mode: str = "nearest") -> BruteForceResult:
+                        costs: CostSpec, p: PlantParams,
+                        rm: RiskParams) -> BruteForceResult:
     """Enumerate every Markov policy on the projected finite MDP and
     minimize the entropic risk (-2/theta) log W_0 per start node."""
-    tables = _Tables(grid, actions, dm, costs, p, mode)
+    tables = _Tables(grid, actions, dm, costs, p)
     n_actions = tables.actions.size
     n_entries = grid.nnodes * N
     if n_actions ** n_entries > MAX_ENUMERATION:

@@ -62,6 +62,9 @@ class WeatherSeries:
             raise ValueError("weather columns must have equal lengths")
         if t.size == 0:
             raise ValueError("no samples")
+        for name, column in (("t", t), ("w_r", w_r), ("w_e", w_e)):
+            if not np.all(np.isfinite(column)):
+                raise ValueError(f"weather column {name!r} must be finite")
         if np.any(w_r < 0) or np.any(w_e < 0):
             raise ValueError("weather rates must be nonnegative")
         if t.size > 1:

@@ -193,6 +193,40 @@ class TestLint:
         assert code == 1
         assert "weather" in err
 
+    @pytest.mark.parametrize("text, name", [
+        ('{"tau": NaN}', "tau"),
+        ('{"a1": Infinity}', "a1"),
+        ('{"tau": "60"}', "tau"),
+    ], ids=["tau-nan", "a1-inf", "tau-str"])
+    def test_non_finite_config(self, tmp_path, capsys, text, name):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code, out, err = run(["lint", "--config", str(cfg)], capsys)
+        assert code == 1
+        assert "config ok" not in out
+        assert f"parameter '{name}' must be a finite number" in err
+        code, _, err = run(["simulate", "--config", str(cfg), "-N", "2",
+                            "--controller", "onoff"], capsys)
+        assert code == 2
+        assert f"parameter '{name}' must be a finite number" in err
+
+    @pytest.mark.parametrize("rows, column", [
+        ("0,0,4e-5\n60,nan,4e-5\n120,0,4e-5\n", "w_r"),
+        ("0,0,4e-5\n60,inf,4e-5\n120,0,4e-5\n", "w_r"),
+        ("0,0,4e-5\nnan,0,4e-5\n120,0,4e-5\n", "t"),
+    ], ids=["w_r-nan", "w_r-inf", "t-nan"])
+    def test_non_finite_weather(self, tmp_path, capsys, rows, column):
+        w = tmp_path / "w.csv"
+        w.write_text("t_s,w_r_mps,w_e_m3ps\n" + rows)
+        common = ["--weather", str(w), "--fast", "-N", "2"]
+        code, out, err = run(["lint", *common], capsys)
+        assert code == 1
+        assert "weather ok" not in out
+        assert f"weather column '{column}' must be finite" in err
+        code, _, err = run(["simulate", "--controller", "onoff", *common], capsys)
+        assert code == 2
+        assert f"weather column '{column}' must be finite" in err
+
     @pytest.mark.parametrize("flag", ["--config", "--weather"])
     def test_bad_horizon_blames_N(self, tmp_path, capsys, flag):
         # simulate -N 0 is refused, whichever files come with it

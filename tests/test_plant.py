@@ -42,6 +42,14 @@ class TestParams:
         with pytest.raises(ValueError):
             PlantParams(c_hat=10.0, d=16.0)
 
+    def test_rejects_non_finite_parameters(self):
+        with pytest.raises(ValueError, match="parameter 'tau' must be a finite number"):
+            PlantParams(tau=math.nan)
+        with pytest.raises(ValueError, match="parameter 'a1' must be a finite number"):
+            PlantParams.from_dict({"a1": math.inf})
+        with pytest.raises(ValueError, match="parameter 'tau' must be a finite number"):
+            PlantParams.from_dict({"tau": "60"})
+
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown"):
             PlantParams.from_dict({"nope": 1.0})

@@ -49,16 +49,6 @@ class TestGridProjection:
     def test_node_exact(self):
         g = Grid([0.0, 1.0, 2.0], [0.0, 10.0])
         assert g.nearest(1.0, 10.0) == 1 * 2 + 1
-        idx, w = g.multilinear(1.0, 10.0)
-        # every corner weight but the node's own is zero
-        assert {int(i) for i, wi in zip(idx, w) if wi > 0} == {3}
-        assert w[idx == 3].sum() == 1.0
-
-    def test_cell_midpoint_multilinear(self):
-        g = Grid([0.0, 1.0], [0.0, 10.0])
-        idx, w = g.multilinear(0.5, 5.0)
-        assert list(idx) == [0, 1, 2, 3]
-        assert all(wi == pytest.approx(0.25) for wi in w)
 
     def test_tie_goes_to_lower_index(self):
         g = Grid([0.0, 1.0, 2.0], [0.0])
@@ -70,20 +60,7 @@ class TestGridProjection:
         with pytest.raises(ValueError):
             g.nearest(2.0, 0.0)
         with pytest.raises(ValueError):
-            g.multilinear(0.5, -0.5)
-
-    def test_multilinear_weights_convex(self):
-        rng = np.random.default_rng(21)
-        g = Grid(np.sort(rng.uniform(0, 150, 5)), np.sort(rng.uniform(0, 34, 4)))
-        for _ in range(50):
-            x1 = rng.uniform(g.x1_nodes[0], g.x1_nodes[-1])
-            x2 = rng.uniform(g.x2_nodes[0], g.x2_nodes[-1])
-            idx, w = g.multilinear(x1, x2)
-            assert np.all(w > 0)
-            assert w.sum() == pytest.approx(1.0, abs=1e-12)
-            # the weighted node coordinates reproduce the point
-            assert w @ g.node_x1[idx] == pytest.approx(x1)
-            assert w @ g.node_x2[idx] == pytest.approx(x2)
+            g.nearest(0.5, -0.5)
 
 
 class TestDisturbanceModel:
@@ -162,8 +139,7 @@ def _random_tables(rng, cost, n_atoms):
     dm = DisturbanceModel(w_r=np.zeros(n_atoms), w_e=np.zeros(n_atoms),
                           p=rng.dirichlet(np.ones(n_atoms)))
     costs = CostSpec(stage=lambda t, x1, x2, u: cost, terminal=None)
-    tables = riskdp._Tables(grid, np.linspace(0.0, 1.0, n_actions), dm, costs, P,
-                            "nearest")
+    tables = riskdp._Tables(grid, np.linspace(0.0, 1.0, n_actions), dm, costs, P)
     tables.succ = rng.integers(0, n_nodes, size=(n_nodes, n_actions, n_atoms))
     return tables
 
