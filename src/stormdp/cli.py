@@ -223,7 +223,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, NearSingularSystem) as exc:
+    except (ValueError, OSError, ArithmeticError, NearSingularSystem) as exc:
         print(f"error: {sim.describe_failure(exc)}", file=sys.stderr)
         return 2
 

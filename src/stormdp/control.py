@@ -38,9 +38,11 @@ class MpcConfig:
 @dataclass(frozen=True)
 class ControllerState:
     """Receding-horizon bookkeeping: last control and the disturbance
-    history (trailing window of length <= horizon) with its mean."""
+    history (trailing window of length <= horizon) with its mean. The
+    last control has the states' shape; every state sees the same
+    weather, so the history and its mean are shared."""
 
-    u_bar: float
+    u_bar: float | np.ndarray
     w_bar: tuple[float, float]
     history: tuple[tuple[float, float], ...]
 
@@ -50,26 +52,27 @@ def initial_controller_state() -> ControllerState:
     return ControllerState(u_bar=0.0, w_bar=(0.0, 0.0), history=())
 
 
-def mpc_step(t: int, x1: float, x2: float, forecast, cs: ControllerState,
-             cfg: MpcConfig) -> tuple[float, ControllerState]:
-    """One receding-horizon step.
+def mpc_step(t: int, x1, x2, forecast, cs: ControllerState,
+             cfg: MpcConfig) -> tuple[float | np.ndarray, ControllerState]:
+    """One receding-horizon step, elementwise on state arrays.
 
     Linearizes at the measured state with the previous control and the
     trailing-mean disturbance, condenses the horizon, solves the QP, and
     applies the first (clamped) control. The returned state has the
-    operating point updated for the next call.
+    operating point updated for the next call. States of shape (m,) give
+    m controls, each the bits of that state's scalar call; all of them
+    share the one forecast.
     """
     forecast = np.asarray(forecast, dtype=float).reshape(-1, 2)
     if forecast.shape[0] != cfg.horizon:
         raise ValueError("forecast length must equal the MPC horizon")
-    op = OperatingPoint(x1=float(x1), x2=float(x2), u=cs.u_bar,
-                        w_r=cs.w_bar[0], w_e=cs.w_bar[1])
+    op = OperatingPoint(x1=np.asarray(x1, dtype=float), x2=np.asarray(x2, dtype=float),
+                        u=cs.u_bar, w_r=cs.w_bar[0], w_e=cs.w_bar[1])
     lm = linearize_at(op, cfg.smooth)
     y0 = np.zeros(2)  # linearized at the measured state
     w_dev = forecast - np.asarray(cs.w_bar)
     ch = condense(lm, cfg.horizon, y0, w_dev, cfg.lam, cfg.plant)
-    sol = solve_mpc_qp(ch)
-    u = float(sol.u[0])
+    u = solve_mpc_qp(ch).u[..., 0][()]   # [()] makes a scalar state's control a scalar
 
     history = (cs.history + (tuple(forecast[0]),))[-cfg.horizon:]
     w_bar = tuple(np.mean(history, axis=0))

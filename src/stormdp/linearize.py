@@ -6,10 +6,16 @@ The MPC cost reads only tank 2, so the horizon is condensed onto the x2
 channel: Markov parameters in a lower-triangular Toeplitz matrix and one
 free response (Jerez, Kerrigan & Constantinides, CDC-ECC 2011). The
 full-state ``predict`` and ``condensed_cost`` step the model directly and
-serve as independent oracles for the condensed solve."""
+serve as independent oracles for the condensed solve.
+
+``linearize_at``, ``condense`` and ``solve_mpc_qp`` take leading batch
+dimensions: an operating point whose state is an array of shape (m,)
+gives m models, m condensed horizons and m QP solves, and each is the
+one a scalar operating point gives, bit for bit."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +45,9 @@ class NearSingularSystem(RuntimeError):
 
 @dataclass(frozen=True)
 class OperatingPoint:
-    """Point (state, control, disturbance) the smooth model is expanded at."""
+    """Point (state, control, disturbance) the smooth model is expanded at.
+    The state and control are scalars or arrays of one shape; the
+    disturbance is shared."""
 
     x1: float
     x2: float
@@ -56,12 +64,30 @@ class LinearModel:
     C carries both disturbance channels (w_r, w_e) as columns.
     """
 
-    A: np.ndarray  # (2, 2)
-    B: np.ndarray  # (2, 1)
-    C: np.ndarray  # (2, 2)
-    b: np.ndarray  # (2,)
+    A: np.ndarray  # (..., 2, 2)
+    B: np.ndarray  # (..., 2, 1)
+    C: np.ndarray  # (2, 2), shared
+    b: np.ndarray  # (..., 2)
     op: OperatingPoint
     tau: float
+
+
+@functools.cache
+def _identity(n: int) -> np.ndarray:
+    """The n x n identity, built once per size and read-only."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
+@functools.cache
+def _toeplitz_index(M: int) -> np.ndarray:
+    """Index into (h_0, ..., h_{M-1}, 0, ..., 0), of length 2M - 1, that
+    reads h_{k-j} at [k, j] on and below the diagonal and a zero above."""
+    n = np.arange(M)
+    index = (n[:, None] - n) % (2 * M - 1)
+    index.flags.writeable = False
+    return index
 
 
 def linearize_at(op: OperatingPoint, sp: SmoothParams) -> LinearModel:
@@ -69,7 +95,7 @@ def linearize_at(op: OperatingPoint, sp: SmoothParams) -> LinearModel:
     B = tau Ju, C = tau Jw and b = tau f_eps(op)."""
     f, jx, ju, jw = f_eps_jacobians(op.x1, op.x2, op.u, op.w_r, op.w_e, sp)
     tau = sp.plant.tau
-    return LinearModel(A=np.eye(2) + tau * jx, B=tau * ju, C=tau * jw, b=tau * f, op=op, tau=tau)
+    return LinearModel(A=_identity(2) + tau * jx, B=tau * ju, C=tau * jw, b=tau * f, op=op, tau=tau)
 
 
 @dataclass(frozen=True)
@@ -84,18 +110,18 @@ class CondensedHorizon:
     ``lm``, ``y0`` and ``w_dev`` are kept for the full-state ``predict``.
     """
 
-    G: np.ndarray       # (M, M) lower-triangular Toeplitz, G[k, j] = (A^(k-j) B)_2
-    free: np.ndarray    # (M,) x2 deviation after steps 1..M with U = 0
+    G: np.ndarray       # (..., M, M) lower-triangular Toeplitz, G[k, j] = (A^(k-j) B)_2
+    free: np.ndarray    # (..., M) x2 deviation after steps 1..M with U = 0
     lam: float
-    x2_ref: float       # x2 deviation hitting x2 = a2 * z_veg
+    x2_ref: np.ndarray  # (...) x2 deviation hitting x2 = a2 * z_veg
     a2: float
     lm: LinearModel
-    y0: np.ndarray      # (2,) current state deviation
-    w_dev: np.ndarray   # (M, 2) disturbance deviations
+    y0: np.ndarray      # (..., 2) current state deviation
+    w_dev: np.ndarray   # (..., M, 2) disturbance deviations
 
     @property
     def M(self) -> int:
-        return self.free.size
+        return self.free.shape[-1]
 
 
 def condense(lm: LinearModel, M: int, y0, w_dev, lam: float,
@@ -105,6 +131,8 @@ def condense(lm: LinearModel, M: int, y0, w_dev, lam: float,
     One forward pass gives the x2 Markov parameters h_k = (A^k B)_2,
     k = 0..M-1, and the x2 free response of x <- A x + C w_k + (b - B u_op)
     from ``y0``; ``G`` is the lower-triangular Toeplitz matrix of the h_k.
+    ``y0`` is (2,) or (..., 2) and ``w_dev`` is (M, 2) or (..., M, 2): one
+    for every model of a batch, or one per model.
     """
     if M < 1:
         raise ValueError("horizon M must be at least 1")
@@ -112,22 +140,28 @@ def condense(lm: LinearModel, M: int, y0, w_dev, lam: float,
         raise ValueError(f"horizon M must not exceed {MAX_HORIZON}")
     if lam <= 0:
         raise ValueError("control weight lam must be positive")
-    y0 = np.asarray(y0, dtype=float).reshape(2)
-    w_dev = np.asarray(w_dev, dtype=float).reshape(M, 2)
+    y0 = np.asarray(y0, dtype=float)
+    w_dev = np.asarray(w_dev, dtype=float)
+    if y0.shape[-1:] != (2,) or w_dev.shape[-2:] != (M, 2):
+        raise ValueError(f"expected y0 of shape (..., 2) and w_dev of shape (..., {M}, 2), "
+                         f"got {y0.shape} and {w_dev.shape}")
 
-    A, B = lm.A, lm.B[:, 0]
+    # states as (..., 2, 1) columns, so each product is one stacked matmul
+    A = lm.A
+    batch = A.shape[:-2]
     # disturbance and affine term, with the absolute control folded in
-    drive = w_dev @ lm.C.T + (lm.b - B * lm.op.u)
-    h = np.empty(M)
-    free = np.empty(M)
-    AkB, x = B, y0
+    drive = (w_dev @ lm.C.T
+             + (lm.b - lm.B[..., 0] * np.asarray(lm.op.u)[..., None])[..., None, :])[..., None]
+    h = np.zeros((*batch, 2 * M - 1))   # h_0..h_{M-1}, then zeros
+    free = np.empty((*batch, M))
+    AkB, x = lm.B, y0[..., None]
     for k in range(M):
-        h[k] = AkB[1]
+        h[..., k] = AkB[..., 1, 0]
         AkB = A @ AkB
-        x = A @ x + drive[k]
-        free[k] = x[1]
-    n = np.arange(M)
-    G = np.tril(h[n[:, None] - n])
+        x = A @ x + drive[..., k, :, :]
+        free[..., k] = x[..., 1, 0]
+    # take, unlike fancy indexing, leaves each G C-contiguous, as BLAS needs
+    G = np.take(h, _toeplitz_index(M), axis=-1)
     return CondensedHorizon(G=G, free=free, lam=float(lam),
                             x2_ref=plant.x2_target - lm.op.x2, a2=plant.a2,
                             lm=lm, y0=y0, w_dev=w_dev)
@@ -157,25 +191,36 @@ def condensed_cost(ch: CondensedHorizon, U) -> float:
 
 @dataclass(frozen=True)
 class MpcSolution:
-    u: np.ndarray        # clamped to [0, 1]
-    u_free: np.ndarray   # unconstrained stationary point
-    clamped: bool
+    u: np.ndarray        # (..., M) clamped to [0, 1]
+    u_free: np.ndarray   # (..., M) unconstrained stationary point
+    clamped: bool        # any entry of any solve clamped
+
+
+def _norm(a):
+    """Frobenius norm of each matrix or column of a batch."""
+    return np.sqrt(np.add.reduce(a * a, axis=(-2, -1)))
 
 
 def solve_mpc_qp(ch: CondensedHorizon) -> MpcSolution:
     """Solve the unconstrained condensed QP, then clamp to [0, 1].
 
     The unclamped solution zeroes the cost gradient; a residual check
-    guards against a near-singular normal matrix.
+    guards against a near-singular normal matrix, and fails if any solve
+    of a batch fails it. On ``condense``'s C-contiguous ``G`` every product
+    is a BLAS call per batch entry, so an entry has the bits of the same
+    solve on its own.
     """
-    H = ch.lam * np.eye(ch.M) + ch.G.T @ ch.G / ch.a2 ** 2
-    g = ch.G.T @ (ch.free - ch.x2_ref) / ch.a2 ** 2
+    # vectors as (..., M, 1) columns, so each product is one stacked matmul
+    G, Gt = ch.G, ch.G.swapaxes(-1, -2)
+    H = ch.lam * _identity(ch.M) + Gt @ G / ch.a2 ** 2
+    g = Gt @ (ch.free - np.asarray(ch.x2_ref)[..., None])[..., None] / ch.a2 ** 2
     try:
         u_free = np.linalg.solve(H, -g)
     except np.linalg.LinAlgError as exc:
         raise NearSingularSystem("condensed QP normal matrix is singular") from exc
-    scale = np.linalg.norm(H, ord="fro") * (1.0 + np.linalg.norm(u_free)) + np.linalg.norm(g)
-    if np.linalg.norm(H @ u_free + g) > 1e-8 * scale:
+    scale = _norm(H) * (1.0 + _norm(u_free)) + _norm(g)
+    if np.any(_norm(H @ u_free + g) > 1e-8 * scale):
         raise NearSingularSystem("condensed QP solve residual exceeds tolerance")
+    u_free = u_free[..., 0]
     u = np.clip(u_free, 0.0, 1.0)
-    return MpcSolution(u=u, u_free=u_free, clamped=bool(np.any(u != u_free)))
+    return MpcSolution(u=u, u_free=u_free, clamped=bool((u != u_free).any()))

@@ -92,11 +92,12 @@ class Grid:
 
     def nearest(self, x1, x2):
         """Flat index of the closest node; distance ties go to the lower index.
-        Raises if a state lies outside the grid's box by more than 1e-9."""
+        Raises if a state lies outside the grid's box by more than 1e-9; a
+        NaN state lies outside every box."""
         tol = 1e-9
         x1, x2 = np.asarray(x1), np.asarray(x2)
-        if np.any((x1 < self.x1_nodes[0] - tol) | (x1 > self.x1_nodes[-1] + tol)
-                  | (x2 < self.x2_nodes[0] - tol) | (x2 > self.x2_nodes[-1] + tol)):
+        if not np.all((x1 >= self.x1_nodes[0] - tol) & (x1 <= self.x1_nodes[-1] + tol)
+                      & (x2 >= self.x2_nodes[0] - tol) & (x2 <= self.x2_nodes[-1] + tol)):
             raise ValueError("state outside the grid's state box")
         return (_nearest_1d(self.x1_nodes, x1) * self.n2
                 + _nearest_1d(self.x2_nodes, x2))
@@ -309,7 +310,8 @@ def _q_values(V_next, cost, theta, tables: _Tables):
 
 
 def _backup(V_next, cost, theta, tables: _Tables):
-    v = _q_values(V_next, cost, theta, tables)
+    with np.errstate(over="ignore", invalid="ignore"):   # reported just below
+        v = _q_values(V_next, cost, theta, tables)
     if not np.all(np.isfinite(v)):
         raise ArithmeticError("non-finite value in entropic backup")
     mu = np.argmin(v, axis=1)

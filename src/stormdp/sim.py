@@ -6,6 +6,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import math
+import numbers
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -209,6 +210,10 @@ class ControllerSpec:
     def __post_init__(self):
         # the kind is checked where the controller is built, so that an
         # unknown kind fails one comparison cell and not the whole grid
+        for name in ("lam", "eps", "v", "theta"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.n_actions < 1:
             raise ValueError(f"n_actions must be at least 1, got {self.n_actions}")
         if self.n_atoms < 1:
@@ -228,7 +233,10 @@ class ControllerSpec:
 
 def make_controller(spec: ControllerSpec, p: PlantParams, weather: WeatherSeries,
                     N: int) -> Callable[[int, float, float], float]:
-    """Build a stateful step callable (t, x1, x2) -> u for one run."""
+    """Build a step callable (t, x1, x2) -> u for one run, elementwise on
+    state arrays, so one controller can drive several starts as the
+    columns of one closed loop. An MPC controller carries its operating
+    point from step to step: build a fresh one for each run."""
     if spec.kind == "onoff":
         return lambda t, x1, x2: ctl.onoff_step(x1, x2, spec.v, p)
 
@@ -380,22 +388,22 @@ def compare(initial_states: dict[str, tuple[float, float]],
             N: int, p: PlantParams) -> list[ComparisonRow]:
     """Run every (start, controller) cell over the shared weather/horizon.
 
-    The stateless cells, every start under each ``onoff`` and ``dp``
-    spec, run as the columns of one closed loop; each ``dp`` spec's policy
-    is solved once and shared by its columns. Their rows' ``runtime_s`` is
-    that batch's wall time split evenly across its columns. MPC cells run
-    one at a time. Failing cells are marked and the rest of the grid still
-    runs: if the batch fails, its cells run again one at a time, so each
-    row keeps its own status.
+    Every cell runs as a column of one closed loop: each spec's controller
+    is built once and drives all starts as its columns, so each ``dp``
+    spec's policy is solved once and each ``mpc`` spec condenses and
+    solves its starts' QPs as one batch. A column has the bits of its
+    cell run alone. The rows' ``runtime_s`` is the batch's wall time split
+    evenly across its columns. Failing cells are marked and the rest of
+    the grid still runs: if the batch fails, its cells run again one at a
+    time, each MPC cell with a fresh controller, so each row keeps its
+    own status.
     """
     rows = {}
     step_fns = {}
-    groups = []   # per stateless spec: its slice of columns and its controller
+    groups = []   # per spec: its slice of columns and its controller
     cells = []    # per column: its scenario and spec index
     start = time.perf_counter()
     for i, spec in enumerate(controllers):
-        if spec.kind not in ("onoff", "dp"):   # MPC carries state between steps
-            continue
         try:
             step_fns[i] = make_controller(spec, p, weather, N)
             scs = [Scenario(name=name, x0=x0, N=N, controller=spec, weather=weather, plant=p)
@@ -422,7 +430,9 @@ def compare(initial_states: dict[str, tuple[float, float]],
     for name, x0 in initial_states.items():
         for i, spec in enumerate(controllers):
             if (name, i) not in rows:
-                rows[name, i] = _run_cell(name, x0, spec, weather, N, p, step_fns.get(i))
+                # the batch has advanced an MPC controller's state; build a fresh one
+                step_fn = None if spec.kind == "mpc" else step_fns.get(i)
+                rows[name, i] = _run_cell(name, x0, spec, weather, N, p, step_fn)
     return [rows[name, i] for name in initial_states for i in range(len(controllers))]
 
 

@@ -49,7 +49,7 @@ def _sqrt_and_slope(y, eps: float):
     if eps <= 0:
         raise ValueError("eps must be positive")
     y = np.asarray(y, dtype=float)
-    yc = np.clip(y, 0.0, None)
+    yc = np.maximum(y, 0.0)
     low = (2.0 / 3.0) * np.sqrt(eps)
     high = np.sqrt(np.maximum(yc, eps))
     value = np.where(y <= 0.0, low, np.where(y <= eps, yc ** 1.5 / (3.0 * eps) + low, high))
@@ -68,7 +68,8 @@ def _gate_and_slope(z, threshold: float, sense: str, eps: float):
         e, sign = (z - threshold) / eps, -1.0
     else:
         raise ValueError(f"unknown gate sense {sense!r}")
-    s = 1.0 / (1.0 + np.exp(np.clip(e, -EXP_CLAMP, EXP_CLAMP)))
+    # np.clip's value, at a fraction of its call cost on a scalar
+    s = 1.0 / (1.0 + np.exp(np.minimum(np.maximum(e, -EXP_CLAMP), EXP_CLAMP)))
     return s, sign * s * (1.0 - s) / eps
 
 
@@ -154,14 +155,21 @@ def f_eps_rhs(x1, x2, u, w_r, w_e, sp: SmoothParams):
 
 
 def f_eps_jacobians(x1, x2, u, w_r, w_e, sp: SmoothParams):
-    """The smooth field at one point and its Jacobians in x, u and w there:
-    ``(f, Jx, Ju, Jw)`` of shapes (2,), (2, 2), (2, 1) and (2, 2)."""
+    """The smooth field and its Jacobians in x, u and w, elementwise on
+    state arrays: ``(f, Jx, Ju, Jw)`` of shapes (..., 2), (..., 2, 2),
+    (..., 2, 1) and (2, 2), where ``...`` is the states' shape. Jw does
+    not depend on the point, so all points share it."""
     p = sp.plant
     q_o, dqo = _outlet(x1, sp)
     q_p, qp_x1, qp_x2, qp_u = _pump(x1, x2, u, sp)
     q_d, dqd = _drain(x2, sp)
     f1, f2 = mass_balance(q_o, q_p, q_d, w_r, w_e, p)
-    return (np.array([float(f1), float(f2)]),
-            np.array([[-dqo - qp_x1, -qp_x2], [qp_x1, qp_x2 - dqd]]),
-            np.array([[-qp_u], [qp_u]]),
-            np.array([[p.a_in, 0.0], [p.a2, -1.0]]))
+    shape = np.shape(f1)
+    f = np.empty((*shape, 2))
+    f[..., 0], f[..., 1] = f1, f2
+    jx = np.empty((*shape, 2, 2))
+    jx[..., 0, 0], jx[..., 0, 1] = -dqo - qp_x1, -qp_x2
+    jx[..., 1, 0], jx[..., 1, 1] = qp_x1, qp_x2 - dqd
+    ju = np.empty((*shape, 2, 1))
+    ju[..., 0, 0], ju[..., 1, 0] = -qp_u, qp_u
+    return f, jx, ju, np.array([[p.a_in, 0.0], [p.a2, -1.0]])

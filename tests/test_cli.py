@@ -85,6 +85,29 @@ def test_bad_counts_name_their_field(capsys, argv, field):
     assert re.match(rf"error: ValueError: .*\b{field}\b.* must be at least", err), err
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["simulate", "--epsilon", "nan"], "eps"),
+    (["simulate", "--lambda", "nan"], "lam"),
+    (["simulate", "--controller", "onoff", "--v", "inf"], "v"),
+    (["dp", "solve", "--theta", "nan"], "theta"),
+    (["compare", "--onoff-v", "nan"], "v"),
+], ids=["simulate-eps", "simulate-lam", "simulate-v", "dp-solve-theta", "compare-v"])
+def test_non_finite_flags_name_their_field(capsys, argv, field):
+    code, out, err = run([*argv, "--fast", "-N", "5"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: ValueError: {field} must be a finite number, got ")
+
+
+def test_overflowing_backup_exits_2(capsys):
+    # lam = -1e308 sends the stage cost past the float range in the first backup
+    code, out, err = run(["dp", "solve", "--fast", "-N", "3", "--grid", "9x9",
+                          "--lambda=-1e308"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: ArithmeticError: non-finite value in entropic backup\n"
+
+
 @pytest.mark.parametrize("argv, flags", [
     (["simulate"], {"lam", "horizon", "eps", "v", "theta", "grid_shape", "n_actions"}),
     (["dp", "solve"], {"lam", "theta", "grid_shape", "n_actions", "n_atoms"}),

@@ -116,6 +116,32 @@ class TestMpc:
         assert u1 == u2 and s1 == s2
 
 
+class TestMpcOnArrays:
+    @pytest.mark.parametrize("m", [1, 3, 9])
+    def test_array_states_equal_scalar_calls(self, m):
+        # states at the pump gate and the target, and anywhere in the box
+        p = PlantParams(tau=60.0)
+        cfg = MpcConfig(plant=p)
+        rng = np.random.default_rng(m)
+        batch = initial_controller_state()
+        singles = [initial_controller_state()] * m
+        for t in range(20):
+            x1 = np.where(rng.random(m) < 0.3, rng.choice(GATE_X1, m), rng.uniform(0, p.cap1, m))
+            x2 = np.where(rng.random(m) < 0.3, rng.choice(GATE_X2, m), rng.uniform(0, p.cap2, m))
+            fc = np.column_stack([rng.uniform(0, 2e-6, 10), np.full(10, 4e-5)])
+            u, batch = mpc_step(t, x1, x2, fc, batch, cfg)
+            alone = [mpc_step(t, a, b, fc, cs, cfg) for a, b, cs in zip(x1, x2, singles)]
+            singles = [cs for _, cs in alone]
+            assert u.shape == batch.u_bar.shape == (m,)
+            assert u.tobytes() == np.array([v for v, _ in alone]).tobytes()
+            assert (batch.w_bar, batch.history) == (singles[0].w_bar, singles[0].history)
+
+    def test_scalar_state_gives_a_scalar(self):
+        u, cs = mpc_step(0, 100.0, 0.0, np.zeros((10, 2)), initial_controller_state(),
+                         MpcConfig(plant=P))
+        assert np.ndim(u) == 0 and np.ndim(cs.u_bar) == 0
+
+
 class TestDpStep:
     def test_node_lookup_and_horizon(self):
         inst = oracle_instance()

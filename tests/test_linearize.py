@@ -5,7 +5,9 @@ import pytest
 
 from stormdp.linearize import (
     MAX_HORIZON,
+    CondensedHorizon,
     LinearModel,
+    NearSingularSystem,
     OperatingPoint,
     condense,
     condensed_cost,
@@ -259,3 +261,41 @@ class TestSolveQp:
             sol = solve_mpc_qp(ch)
             assert np.all(sol.u >= 0.0) and np.all(sol.u <= 1.0)
             assert sol.clamped == bool(np.any(sol.u != sol.u_free))
+
+
+class TestBatchedQp:
+    def _horizon(self, G, free, lam):
+        return CondensedHorizon(G=np.asarray(G, float), free=np.asarray(free, float), lam=lam,
+                                x2_ref=np.zeros(np.shape(free)[:-1]), a2=1.0,
+                                lm=None, y0=None, w_dev=None)
+
+    def test_batch_entries_equal_single_solves(self):
+        rng = np.random.default_rng(21)
+        G = np.tril(rng.normal(size=(5, 6, 6)))
+        free = rng.normal(size=(5, 6))
+        batch = solve_mpc_qp(self._horizon(G, free, 1e-2))
+        for j in range(5):
+            alone = solve_mpc_qp(self._horizon(G[j], free[j], 1e-2))
+            assert batch.u_free[j].tobytes() == alone.u_free.tobytes()
+            assert batch.u[j].tobytes() == alone.u.tobytes()
+        # one flag for the whole batch: set if any entry clamped
+        assert batch.clamped == bool((batch.u != batch.u_free).any())
+
+    def test_one_singular_entry_fails_the_batch(self):
+        rng = np.random.default_rng(22)
+        good = np.tril(rng.normal(size=(4, 4)))
+        bad = np.tril(np.ones((4, 4))) * 1e10
+        bad[:, -1] = bad[:, 0]   # rank deficient, and lam too small to mend it
+        free = rng.normal(size=(2, 4))
+        solve_mpc_qp(self._horizon(good, free[0], 1e-30))
+        with pytest.raises(NearSingularSystem):
+            solve_mpc_qp(self._horizon(bad, free[1], 1e-30))
+        with pytest.raises(NearSingularSystem):
+            solve_mpc_qp(self._horizon([good, bad], free, 1e-30))
+
+    def test_condense_rejects_misshapen_inputs(self):
+        lm = synthetic_model(np.eye(2), [[0.1], [0.1]], np.zeros((2, 2)), [0.0, 0.0])
+        with pytest.raises(ValueError, match="y0"):
+            condense(lm, 2, [0.0, 0.0, 0.0], np.zeros((2, 2)), 1e-3, P)
+        with pytest.raises(ValueError, match="w_dev"):
+            condense(lm, 2, [0.0, 0.0], np.zeros((3, 2)), 1e-3, P)

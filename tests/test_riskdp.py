@@ -62,6 +62,15 @@ class TestGridProjection:
         with pytest.raises(ValueError):
             g.nearest(0.5, -0.5)
 
+    @pytest.mark.parametrize("x1, x2", [(float("nan"), 0.0), (0.5, float("nan")),
+                                        ([0.5, float("nan")], [0.0, 1.0])],
+                             ids=["x1", "x2", "one-of-two"])
+    def test_nan_state_rejected(self, x1, x2):
+        # a NaN fails every comparison, so it must fail the box check too
+        g = Grid([0.0, 1.0, 2.0], [0.0, 1.0])
+        with pytest.raises(ValueError, match="outside the grid's state box"):
+            g.nearest(x1, x2)
+
 
 class TestDisturbanceModel:
     def test_invariants(self):

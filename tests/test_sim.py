@@ -357,3 +357,63 @@ class TestCompare:
                                           weather=w, plant=P))
             assert row.cumulative_deviation == cumulative_deviation(trace, P)
         assert len(calls) == 4
+
+
+MPC = ControllerSpec(kind="mpc")
+
+
+class TestBatchedMpc:
+    def test_mpc_cells_equal_single_cells(self):
+        specs = [MPC, ControllerSpec(kind="onoff", v=0.2), ControllerSpec(kind="onoff", v=0.5),
+                 DP_9]
+        _assert_rows_match_single_cells(standard_initial_states(P), specs,
+                                        wet_12h(dt=60.0), 120)
+
+    @given(starts=st.lists(st.tuples(st.sampled_from(EDGE_X1) | st.floats(0.0, P.cap1),
+                                     st.sampled_from(EDGE_X2) | st.floats(0.0, P.cap2)),
+                           min_size=1, max_size=3))
+    @settings(max_examples=25, deadline=None)
+    def test_mpc_cells_equal_single_cells_at_edges(self, starts):
+        specs = [MPC, ControllerSpec(kind="onoff", v=0.5), DP_9]
+        _assert_rows_match_single_cells({f"s{k}": x0 for k, x0 in enumerate(starts)},
+                                        specs, wet_12h(dt=60.0), 30)
+
+    def test_every_cell_shares_one_loop(self, monkeypatch):
+        shapes = []
+        step = plant.step
+
+        def counting_step(x1, *args):
+            shapes.append(np.shape(x1))
+            return step(x1, *args)
+
+        monkeypatch.setattr(plant, "step", counting_step)
+        specs = [MPC, ControllerSpec(kind="onoff", v=0.5), DP_9]
+        rows = compare(standard_initial_states(P), specs, wet_12h(dt=60.0), 50, P)
+        assert [r.status for r in rows] == ["ok"] * 9
+        # besides the DP's one whole-grid table call, one step for all 9 cells
+        assert [s for s in shapes if len(s) <= 1] == [(9,)] * 50
+
+    def test_mpc_cell_next_to_a_failing_cell_runs_fresh(self):
+        # the failing on/off column stops the batch after the MPC controller
+        # has already stepped; its re-run alone must start from a fresh one
+        starts = standard_initial_states(P)
+        w = wet_12h(dt=60.0)
+        rows = compare(starts, [MPC, ControllerSpec(kind="onoff", v=0.0)], w, 50, P)
+        assert [r.status for r in rows[1::2]] == [
+            "failed: ValueError at step 0: on/off rate v must be positive"] * 3
+        for row, (name, x0) in zip(rows[0::2], starts.items()):
+            assert row.status == "ok"
+            assert (row.cumulative_deviation, row.sum_u_sq) == _alone(name, x0, MPC, w, 50)
+
+
+class TestControllerSpec:
+    @pytest.mark.parametrize("name", ["lam", "eps", "v", "theta"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be a finite number, got "):
+            ControllerSpec(kind="onoff", **{name: value})
+
+    def test_out_of_range_rates_still_fail_at_run_time(self):
+        # v = 0 fails at step 0 and v > 1 clamps to 1, so both are accepted here
+        assert ControllerSpec(kind="onoff", v=0.0).v == 0.0
+        assert ControllerSpec(kind="onoff", v=2.0).v == 2.0
