@@ -218,9 +218,12 @@ def solve_mpc_qp(ch: CondensedHorizon) -> MpcSolution:
         u_free = np.linalg.solve(H, -g)
     except np.linalg.LinAlgError as exc:
         raise NearSingularSystem("condensed QP normal matrix is singular") from exc
-    scale = _norm(H) * (1.0 + _norm(u_free)) + _norm(g)
-    if np.any(_norm(H @ u_free + g) > 1e-8 * scale):
-        raise NearSingularSystem("condensed QP solve residual exceeds tolerance")
+    with np.errstate(over="ignore", invalid="ignore"):   # checked just below
+        scale = _norm(H) * (1.0 + _norm(u_free)) + _norm(g)
+        residual = _norm(H @ u_free + g)
+        # an overflowed scale or a NaN residual would pass a plain `>` test
+        if not ((residual <= 1e-8 * scale) & np.isfinite(scale)).all():
+            raise NearSingularSystem("condensed QP solve residual exceeds tolerance")
     u_free = u_free[..., 0]
     u = np.clip(u_free, 0.0, 1.0)
     return MpcSolution(u=u, u_free=u_free, clamped=bool((u != u_free).any()))

@@ -9,9 +9,11 @@ node, shifted by min V_next. Where that vector would overflow, psi falls
 back to a log-sum-exp shifted by each row's maximum. Policy evaluation
 runs the same backup with the action fixed instead of minimized.
 Nearest-node projection turns the deterministic plant plus finite
-disturbance atoms into an exactly finite MDP, held in one table of
-projected successors and stage costs that the solver, policy evaluation
-and the brute-force policy enumeration share.
+disturbance atoms into an exactly finite MDP, held in one table that the
+solver, policy evaluation and the brute-force policy enumeration share:
+the distinct successor rows (the successor node of each atom), one row
+index per (node, action), and the stage costs. Many (node, action) pairs
+share a row, so psi is computed once per distinct row.
 """
 
 from __future__ import annotations
@@ -222,31 +224,61 @@ class PolicyTable:
 
 
 class _Tables:
-    """The projected finite MDP: the successor of every (node, action,
-    atom) and the costs, built once.
+    """The projected finite MDP, built once: the distinct successor rows
+    and, for every (node, action), the index of its row, plus the costs.
+
+    A successor row is the projected successor node of each atom. Many
+    (node, action) pairs share one: at tau = 1 s on the default grid
+    every successor is a self-loop, so all actions of a node share its
+    row. ``rows`` holds each distinct row once, in blocks of nA rows with
+    the last block padded by repeating rows. A block has the shape of one
+    node's rows in the dense (nodes, actions, atoms) table, so BLAS
+    reduces each row over its atoms by the same call as on that table
+    and psi keeps its bits. ``row_of`` holds, for every node and action,
+    the flat index of its row in the blocks. ``from_plant`` projects the
+    plant into the dense table; only its distinct rows are kept.
 
     A stage cost that does not depend on t is evaluated once, here; a
     time-varying one is evaluated on each ``stage_cost`` call.
     """
 
     def __init__(self, grid: Grid, actions, dm: DisturbanceModel, costs: CostSpec,
-                 p: PlantParams):
+                 succ: np.ndarray):
         self.grid = grid
         self.actions = np.asarray(actions, dtype=float)
         self.dm = dm
         self.costs = costs
+        n_actions = self.actions.size
+        distinct, row_of = _distinct_rows(np.asarray(succ))
+        self.rows = np.resize(distinct, (-(-distinct.shape[0] // n_actions), n_actions,
+                                         dm.natoms))
+        self.row_of = row_of.reshape(grid.nnodes, n_actions)
+        self._fixed_cost = None
+        if not costs.time_varying:
+            self._fixed_cost = self.stage_cost(0)
+
+    @classmethod
+    def from_plant(cls, grid: Grid, actions, dm: DisturbanceModel, costs: CostSpec,
+                   p: PlantParams) -> "_Tables":
+        """Tables of the nearest-node successor of one clamped
+        ``plant.step`` from every node under every action and atom."""
         x1 = grid.node_x1[:, None, None]
         x2 = grid.node_x2[:, None, None]
-        u = self.actions[None, :, None]
+        u = np.asarray(actions, dtype=float)[None, :, None]
         wr = dm.w_r[None, None, :]
         we = dm.w_e[None, None, :]
         x1n, x2n, _, _ = plant_mod.step(x1, x2, u, wr, we, p)
         x1n = np.clip(x1n, grid.x1_nodes[0], grid.x1_nodes[-1])
         x2n = np.clip(x2n, grid.x2_nodes[0], grid.x2_nodes[-1])
-        self.succ = grid.nearest(x1n, x2n)
-        self._fixed_cost = None
-        if not costs.time_varying:
-            self._fixed_cost = self.stage_cost(0)
+        return cls(grid, actions, dm, costs, grid.nearest(x1n, x2n))
+
+    @property
+    def succ(self) -> np.ndarray:
+        """The dense successor table, shape (nnodes, nA, natoms), rebuilt
+        from the rows on each read."""
+        succ = self.rows.reshape(-1, self.dm.natoms)[self.row_of]
+        succ.flags.writeable = False
+        return succ
 
     def stage_cost(self, t: int) -> np.ndarray:
         """c_t(x, u) on every node and action, shape (nnodes, nA)."""
@@ -261,6 +293,20 @@ class _Tables:
         """The terminal cost on every node, shape (nnodes,)."""
         return np.asarray(self.costs.terminal(self.grid.node_x1, self.grid.node_x2),
                           dtype=float)
+
+
+def _distinct_rows(succ: np.ndarray):
+    """The distinct rows of ``succ`` over its last axis, in lexicographic
+    order, and the index of each row among them. The sorted copy of the
+    rows is the largest temporary, the size of ``succ``."""
+    flat = succ.reshape(-1, succ.shape[-1])
+    order = np.lexsort(flat.T[::-1])
+    ranked = flat[order]
+    new = np.ones(order.size, dtype=bool)
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
+    index = np.empty(order.size, dtype=np.intp)
+    index[order] = np.cumsum(new) - 1
+    return ranked[new], index
 
 
 def _logsumexp(a: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -283,7 +329,7 @@ def entropic_backup(V_next, t: int, rm: RiskParams, grid: Grid, dm: DisturbanceM
     Argmin ties resolve to the smallest action index, a fixed measurable
     selector. Raises if any value fails to be finite.
     """
-    tables = _Tables(grid, actions, dm, costs, p)
+    tables = _Tables.from_plant(grid, actions, dm, costs, p)
     return _backup(np.asarray(V_next, dtype=float), tables.stage_cost(t), rm.theta, tables)
 
 
@@ -291,22 +337,25 @@ def _q_values(V_next, cost, theta, tables: _Tables):
     """c_t(x,u) + psi_t(x,u) for every node and action, shape (nnodes, nA),
     given the stage cost ``cost`` = c_t on the same shape.
 
-    ``theta=None`` backs up the plain expectation instead of psi. psi
-    takes one exponential per node, shifted by min V'; expm1/log1p keep
-    rows whose atoms share a successor exact. Past EXP_SHIFT_LIMIT it
-    takes the per-row max shift of ``_psi``.
+    psi is computed once per distinct successor row, then read out for
+    every (node, action) through ``row_of``. ``theta=None`` backs up the
+    plain expectation instead of psi. psi takes one exponential per node,
+    shifted by min V'; expm1/log1p keep rows whose atoms share a
+    successor exact. Past EXP_SHIFT_LIMIT it takes the per-row max shift
+    of ``_psi``.
     """
+    rows, p = tables.rows, tables.dm.p
     if theta is None:
-        psi = (V_next[tables.succ] * tables.dm.p).sum(axis=-1)
+        psi = (V_next[rows] * p).sum(axis=-1)
     else:
         gamma = -theta / 2.0
         m = V_next.min()
         if gamma * (V_next.max() - m) <= EXP_SHIFT_LIMIT:
             e = np.expm1(gamma * (V_next - m))
-            psi = m + np.log1p(e[tables.succ] @ tables.dm.p) / gamma
+            psi = m + np.log1p(e[rows] @ p) / gamma
         else:
-            psi = _psi(V_next[tables.succ], tables.dm.p, theta)
-    return cost + psi
+            psi = _psi(V_next[rows], p, theta)
+    return cost + psi.take(tables.row_of)
 
 
 def _backup(V_next, cost, theta, tables: _Tables):
@@ -328,7 +377,7 @@ def solve(N: int, grid: Grid, actions, dm: DisturbanceModel, costs: CostSpec,
     """
     if N < 1:
         raise ValueError("horizon N must be at least 1")
-    tables = _Tables(grid, actions, dm, costs, p)
+    tables = _Tables.from_plant(grid, actions, dm, costs, p)
     theta = None if rm is None else rm.theta
     V = np.empty((N + 1, grid.nnodes))
     mu = np.empty((N, grid.nnodes), dtype=np.min_scalar_type(tables.actions.size - 1))
@@ -344,11 +393,11 @@ def _policy_values(policy_mu: np.ndarray, theta: float, tables: _Tables,
     the backup of ``solve`` with the action taken from the policy and
     c_t from ``stage_cost(t)``."""
     N = policy_mu.shape[0]
-    rows = np.arange(tables.grid.nnodes)
+    nodes = np.arange(tables.grid.nnodes)
     V = np.empty((N + 1, tables.grid.nnodes))
     V[N] = tables.terminal_cost()
     for t in range(N - 1, -1, -1):
-        V[t] = _q_values(V[t + 1], stage_cost(t), theta, tables)[rows, policy_mu[t]]
+        V[t] = _q_values(V[t + 1], stage_cost(t), theta, tables)[nodes, policy_mu[t]]
     return V
 
 
@@ -360,7 +409,7 @@ def evaluate_policy_W(policy: PolicyTable, dm: DisturbanceModel, costs: CostSpec
     returned value is strictly positive. Raises ArithmeticError where
     gamma V_t exceeds log(float max), past which W is not representable.
     """
-    tables = _Tables(policy.grid, policy.actions, dm, costs, p)
+    tables = _Tables.from_plant(policy.grid, policy.actions, dm, costs, p)
     V = _policy_values(policy.mu, rm.theta, tables, tables.stage_cost)
     top, limit = rm.gamma * V.max(), np.log(np.finfo(float).max)
     if top > limit:
@@ -383,7 +432,7 @@ def brute_force_optimal(N: int, grid: Grid, actions, dm: DisturbanceModel,
                         rm: RiskParams) -> BruteForceResult:
     """Enumerate every Markov policy on the projected finite MDP and
     minimize the entropic risk (-2/theta) log W_0 per start node."""
-    tables = _Tables(grid, actions, dm, costs, p)
+    tables = _Tables.from_plant(grid, actions, dm, costs, p)
     n_actions = tables.actions.size
     n_entries = grid.nnodes * N
     if n_actions ** n_entries > MAX_ENUMERATION:

@@ -293,6 +293,15 @@ class TestBatchedQp:
         with pytest.raises(NearSingularSystem):
             solve_mpc_qp(self._horizon([good, bad], free, 1e-30))
 
+    def test_overflowed_residual_scale_fails(self):
+        # G'G stays finite, but |H|_F overflows, so the residual scale is inf
+        # and an unguarded comparison would pass any residual
+        bad = np.tril(np.ones((4, 4))) * 1e150
+        bad[:, -1] = bad[:, 0]
+        free = np.random.default_rng(22).normal(size=4)
+        with pytest.raises(NearSingularSystem):
+            solve_mpc_qp(self._horizon(bad, free, 1e-300))
+
     def test_condense_rejects_misshapen_inputs(self):
         lm = synthetic_model(np.eye(2), [[0.1], [0.1]], np.zeros((2, 2)), [0.0, 0.0])
         with pytest.raises(ValueError, match="y0"):

@@ -142,15 +142,14 @@ class TestBackup:
 
 def _random_tables(rng, cost, n_atoms):
     """Tables on a 1-D grid with the (nodes, actions) stage cost ``cost``,
-    and the successors redrawn at random."""
+    built from successors drawn at random."""
     n_nodes, n_actions = cost.shape
     grid = Grid(np.linspace(0.0, P.cap1, n_nodes), [0.0])
     dm = DisturbanceModel(w_r=np.zeros(n_atoms), w_e=np.zeros(n_atoms),
                           p=rng.dirichlet(np.ones(n_atoms)))
     costs = CostSpec(stage=lambda t, x1, x2, u: cost, terminal=None)
-    tables = riskdp._Tables(grid, np.linspace(0.0, 1.0, n_actions), dm, costs, P)
-    tables.succ = rng.integers(0, n_nodes, size=(n_nodes, n_actions, n_atoms))
-    return tables
+    succ = rng.integers(0, n_nodes, size=(n_nodes, n_actions, n_atoms))
+    return riskdp._Tables(grid, np.linspace(0.0, 1.0, n_actions), dm, costs, succ)
 
 
 def _q_and_kernel(tables, V_next, theta):
