@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Receding-horizon control: linearize, condense, solve, apply, repeat.
 
-Each MPC step linearizes the smooth plant at the measured state, stacks
-M steps of the affine model into one quadratic program in the control
+Each MPC step linearizes the smooth plant at the measured state, the
+previous control and the mean of the last M weather samples, stacks M
+steps of the affine model into one quadratic program in the control
 sequence, solves the unconstrained stationarity system, clamps to
 [0, 1], and applies the first control to the exact (non-smooth) plant.
+The controller keeps no state: the loop hands it the previous control,
+and it reads its forecast and its past weather from the series.
 """
 
 import numpy as np
@@ -15,7 +18,6 @@ from stormdp import (
     PlantParams,
     SmoothParams,
     condense,
-    initial_controller_state,
     linearize_at,
     mpc_step,
     solve_mpc_qp,
@@ -44,10 +46,10 @@ print("\n== closed loop on the wet 12 h preset, dry-ish start ==")
 w = wet_12h(dt=p.tau)
 cfg = MpcConfig(plant=p, horizon=10, lam=1e-3)
 x1, x2 = 57.7, 2.42
-cs = initial_controller_state()
+u = 0.0   # the previous control: the loop, not the controller, keeps it
 dev = 0.0
 for t in range(720):
-    u, cs = mpc_step(t, x1, x2, w.forecast(t, 10), cs, cfg)
+    u = mpc_step(t, x1, x2, u, w, cfg)
     x1n, x2n, _, _ = step(x1, x2, u, w.w_r[t], w.w_e[t], p)
     x1, x2 = float(x1n), float(x2n)
     dev += abs(x2 - p.x2_target)

@@ -12,7 +12,7 @@ sim        weather handling, closed-loop simulation, comparison grids
 cli        command-line entry points (simulate, dp solve, compare, lint)
 """
 
-from .control import MpcConfig, dp_step, initial_controller_state, mpc_step, onoff_step
+from .control import MpcConfig, dp_step, mpc_step, onoff_step
 from .linearize import (
     CondensedHorizon,
     LinearModel,

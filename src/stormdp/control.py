@@ -1,4 +1,7 @@
-"""The three pump controllers as step functions (time, state, forecast) -> u."""
+"""The three pump controllers as step functions of the time and the
+measured state. None of them keeps state between calls: the closed loop
+hands the MPC its previous control, and the MPC reads its forecast and
+its trailing disturbance window from the weather series."""
 
 from __future__ import annotations
 
@@ -14,8 +17,6 @@ from .smooth import SmoothParams
 
 __all__ = [
     "MpcConfig",
-    "ControllerState",
-    "initial_controller_state",
     "mpc_step",
     "onoff_step",
     "dp_step",
@@ -35,48 +36,27 @@ class MpcConfig:
         return SmoothParams(plant=self.plant, eps=self.eps)
 
 
-@dataclass(frozen=True)
-class ControllerState:
-    """Receding-horizon bookkeeping: last control and the disturbance
-    history (trailing window of length <= horizon) with its mean. The
-    last control has the states' shape; every state sees the same
-    weather, so the history and its mean are shared."""
-
-    u_bar: float | np.ndarray
-    w_bar: tuple[float, float]
-    history: tuple[tuple[float, float], ...]
-
-
-def initial_controller_state() -> ControllerState:
-    """Starting operating point: no pumping, no weather."""
-    return ControllerState(u_bar=0.0, w_bar=(0.0, 0.0), history=())
-
-
-def mpc_step(t: int, x1, x2, forecast, cs: ControllerState,
-             cfg: MpcConfig) -> tuple[float | np.ndarray, ControllerState]:
+def mpc_step(t: int, x1, x2, u_prev, weather, cfg: MpcConfig):
     """One receding-horizon step, elementwise on state arrays.
 
-    Linearizes at the measured state with the previous control and the
-    trailing-mean disturbance, condenses the horizon, solves the QP, and
-    applies the first (clamped) control. The returned state has the
-    operating point updated for the next call. States of shape (m,) give
-    m controls, each the bits of that state's scalar call; all of them
-    share the one forecast.
+    Linearizes at the measured state, the previous control ``u_prev``
+    and the mean disturbance of the last min(t, M) weather rows (none at
+    t = 0), condenses the forecast rows t..t+M-1 of ``weather`` (a
+    ``sim.WeatherSeries``), solves the QP, and returns the first
+    (clamped) control. States of shape (m,), with ``u_prev`` of the same
+    shape, give m controls, each the bits of that state's scalar call;
+    all of them share the one weather series.
     """
-    forecast = np.asarray(forecast, dtype=float).reshape(-1, 2)
-    if forecast.shape[0] != cfg.horizon:
-        raise ValueError("forecast length must equal the MPC horizon")
+    k = min(t, cfg.horizon)
+    # the (k, 2) window's column means, rounded as one stacked reduction
+    w_bar = weather.forecast(t - k, k).mean(axis=0) if k > 0 else np.zeros(2)
     op = OperatingPoint(x1=np.asarray(x1, dtype=float), x2=np.asarray(x2, dtype=float),
-                        u=cs.u_bar, w_r=cs.w_bar[0], w_e=cs.w_bar[1])
+                        u=u_prev, w_r=w_bar[0], w_e=w_bar[1])
     lm = linearize_at(op, cfg.smooth)
     y0 = np.zeros(2)  # linearized at the measured state
-    w_dev = forecast - np.asarray(cs.w_bar)
+    w_dev = weather.forecast(t, cfg.horizon) - w_bar
     ch = condense(lm, cfg.horizon, y0, w_dev, cfg.lam, cfg.plant)
-    u = solve_mpc_qp(ch).u[..., 0][()]   # [()] makes a scalar state's control a scalar
-
-    history = (cs.history + (tuple(forecast[0]),))[-cfg.horizon:]
-    w_bar = tuple(np.mean(history, axis=0))
-    return u, ControllerState(u_bar=u, w_bar=w_bar, history=history)
+    return solve_mpc_qp(ch).u[..., 0][()]   # [()] makes a scalar state's control a scalar
 
 
 def onoff_step(x1, x2, v: float, p: PlantParams):

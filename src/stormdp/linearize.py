@@ -69,7 +69,6 @@ class LinearModel:
     C: np.ndarray  # (2, 2), shared
     b: np.ndarray  # (..., 2)
     op: OperatingPoint
-    tau: float
 
 
 @functools.cache
@@ -95,7 +94,7 @@ def linearize_at(op: OperatingPoint, sp: SmoothParams) -> LinearModel:
     B = tau Ju, C = tau Jw and b = tau f_eps(op)."""
     f, jx, ju, jw = f_eps_jacobians(op.x1, op.x2, op.u, op.w_r, op.w_e, sp)
     tau = sp.plant.tau
-    return LinearModel(A=_identity(2) + tau * jx, B=tau * ju, C=tau * jw, b=tau * f, op=op, tau=tau)
+    return LinearModel(A=_identity(2) + tau * jx, B=tau * ju, C=tau * jw, b=tau * f, op=op)
 
 
 @dataclass(frozen=True)
@@ -212,13 +211,14 @@ def solve_mpc_qp(ch: CondensedHorizon) -> MpcSolution:
     """
     # vectors as (..., M, 1) columns, so each product is one stacked matmul
     G, Gt = ch.G, ch.G.swapaxes(-1, -2)
-    H = ch.lam * _identity(ch.M) + Gt @ G / ch.a2 ** 2
-    g = Gt @ (ch.free - np.asarray(ch.x2_ref)[..., None])[..., None] / ch.a2 ** 2
-    try:
-        u_free = np.linalg.solve(H, -g)
-    except np.linalg.LinAlgError as exc:
-        raise NearSingularSystem("condensed QP normal matrix is singular") from exc
-    with np.errstate(over="ignore", invalid="ignore"):   # checked just below
+    # an overflow in G'G or in the residual is checked just below
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = ch.lam * _identity(ch.M) + Gt @ G / ch.a2 ** 2
+        g = Gt @ (ch.free - np.asarray(ch.x2_ref)[..., None])[..., None] / ch.a2 ** 2
+        try:
+            u_free = np.linalg.solve(H, -g)
+        except np.linalg.LinAlgError as exc:
+            raise NearSingularSystem("condensed QP normal matrix is singular") from exc
         scale = _norm(H) * (1.0 + _norm(u_free)) + _norm(g)
         residual = _norm(H @ u_free + g)
         # an overflowed scale or a NaN residual would pass a plain `>` test

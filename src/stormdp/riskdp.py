@@ -154,8 +154,6 @@ class DisturbanceModel:
         atoms: dict[tuple[float, float], float] = {}
         n = w_r_series.size
         for chunk in chunks:
-            if chunk.size == 0:
-                continue
             key = (float(w_r_series[chunk].mean()), float(w_e_series[chunk].mean()))
             atoms[key] = atoms.get(key, 0.0) + chunk.size / n
         w_r = np.array([k[0] for k in atoms])

@@ -232,28 +232,21 @@ class ControllerSpec:
 
 
 def make_controller(spec: ControllerSpec, p: PlantParams, weather: WeatherSeries,
-                    N: int) -> Callable[[int, float, float], float]:
-    """Build a step callable (t, x1, x2) -> u for one run, elementwise on
-    state arrays, so one controller can drive several starts as the
-    columns of one closed loop. An MPC controller carries its operating
-    point from step to step: build a fresh one for each run."""
+                    N: int) -> Callable[[int, float, float, float], float]:
+    """Build a step callable (t, x1, x2, u_prev) -> u, elementwise on
+    state arrays. It keeps no state between calls, so one controller can
+    drive any number of runs, and several starts as the columns of one
+    closed loop."""
     if spec.kind == "onoff":
-        return lambda t, x1, x2: ctl.onoff_step(x1, x2, spec.v, p)
+        return lambda t, x1, x2, u_prev: ctl.onoff_step(x1, x2, spec.v, p)
 
     if spec.kind == "mpc":
         cfg = ctl.MpcConfig(plant=p, horizon=spec.horizon, lam=spec.lam, eps=spec.eps)
-        cs = ctl.initial_controller_state()
+        return lambda t, x1, x2, u_prev: ctl.mpc_step(t, x1, x2, u_prev, weather, cfg)
 
-        def mpc(t, x1, x2):
-            nonlocal cs
-            u, cs = ctl.mpc_step(t, x1, x2, weather.forecast(t, spec.horizon), cs, cfg)
-            return u
-
-        return mpc
-
-    if spec.kind == "dp":  # stateless, so one controller serves every start
+    if spec.kind == "dp":
         policy = solve_dp(spec, p, weather, N)[1]
-        return lambda t, x1, x2: ctl.dp_step(t, x1, x2, policy)
+        return lambda t, x1, x2, u_prev: ctl.dp_step(t, x1, x2, policy)
 
     raise ValueError(f"unknown controller kind {spec.kind!r}")
 
@@ -292,9 +285,12 @@ def run_scenario(sc: Scenario, step_fn=None) -> Trace:
     """Closed loop: controller -> clamp -> exact non-smooth plant step.
 
     ``step_fn`` is a controller already built for ``sc.controller``;
-    without one, ``make_controller`` builds it. Deterministic given its
-    inputs. A controller or model error propagates with its own type and
-    carries the failing step index as its ``step`` attribute.
+    without one, ``make_controller`` builds it. At step t the loop calls
+    ``step_fn(t, x1, x2, u_prev)``, where ``u_prev`` is the control it
+    applied at step t - 1 (zeros of the state's shape at t = 0): the loop
+    holds all the state of a run. Deterministic given its inputs. A
+    controller or model error propagates with its own type and carries
+    the failing step index as its ``step`` attribute.
     """
     if step_fn is None:
         step_fn = make_controller(sc.controller, sc.plant, sc.weather, sc.N)
@@ -304,7 +300,8 @@ def run_scenario(sc: Scenario, step_fn=None) -> Trace:
 def _closed_loop(x0, n: int, step_fn, weather: WeatherSeries, p: PlantParams) -> Trace:
     """The loop body of :func:`run_scenario`. ``x0`` is one start, two
     floats, or m starts, two arrays of shape (m,); the states then have
-    shape (n+1,) or (n+1, m) and ``step_fn`` maps state rows to controls."""
+    shape (n+1,) or (n+1, m) and ``step_fn`` maps state and control rows
+    to controls."""
     cells = np.shape(x0[0])
     x1 = np.empty((n + 1, *cells))
     x2 = np.empty((n + 1, *cells))
@@ -313,14 +310,16 @@ def _closed_loop(x0, n: int, step_fn, weather: WeatherSeries, p: PlantParams) ->
     clamp1 = np.empty((n, *cells))
     clamp2 = np.empty((n, *cells))
     x1[0], x2[0] = x0
+    u_prev = np.zeros(cells)
     for t in range(n):
         try:
-            u[t] = np.clip(step_fn(t, x1[t], x2[t]), 0.0, 1.0)
+            u[t] = np.clip(step_fn(t, x1[t], x2[t], u_prev), 0.0, 1.0)
             x1[t + 1], x2[t + 1], clamp1[t], clamp2[t] = plant_mod.step(
                 x1[t], x2[t], u[t], weather.w_r[t], weather.w_e[t], p)
         except Exception as exc:
             exc.step = t
             raise
+        u_prev = u[t]
         cost[t] = riskdp.tracking_error(x2[t], p)
     return Trace(t=p.tau * np.arange(n + 1), x1=x1, x2=x2, u=u,
                  w_r=weather.w_r[:n].copy(), w_e=weather.w_e[:n].copy(),
@@ -395,8 +394,8 @@ def compare(initial_states: dict[str, tuple[float, float]],
     cell run alone. The rows' ``runtime_s`` is the batch's wall time split
     evenly across its columns. Failing cells are marked and the rest of
     the grid still runs: if the batch fails, its cells run again one at a
-    time, each MPC cell with a fresh controller, so each row keeps its
-    own status.
+    time on the controllers already built, which keep no state, so each
+    row keeps its own status.
     """
     rows = {}
     step_fns = {}
@@ -413,8 +412,8 @@ def compare(initial_states: dict[str, tuple[float, float]],
         groups.append((slice(len(cells), len(cells) + len(scs)), step_fns[i]))
         cells += [(sc, i) for sc in scs]
 
-    def step_fn(t, x1, x2):
-        return np.concatenate([fn(t, x1[cols], x2[cols]) for cols, fn in groups])
+    def step_fn(t, x1, x2, u_prev):
+        return np.concatenate([fn(t, x1[cols], x2[cols], u_prev[cols]) for cols, fn in groups])
 
     if cells:
         try:
@@ -430,9 +429,7 @@ def compare(initial_states: dict[str, tuple[float, float]],
     for name, x0 in initial_states.items():
         for i, spec in enumerate(controllers):
             if (name, i) not in rows:
-                # the batch has advanced an MPC controller's state; build a fresh one
-                step_fn = None if spec.kind == "mpc" else step_fns.get(i)
-                rows[name, i] = _run_cell(name, x0, spec, weather, N, p, step_fn)
+                rows[name, i] = _run_cell(name, x0, spec, weather, N, p, step_fns.get(i))
     return [rows[name, i] for name in initial_states for i in range(len(controllers))]
 
 

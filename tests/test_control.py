@@ -6,15 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _instances import oracle_instance
-from stormdp.control import (
-    MpcConfig,
-    dp_step,
-    initial_controller_state,
-    mpc_step,
-    onoff_step,
-)
+from stormdp import control
+from stormdp.control import MpcConfig, dp_step, mpc_step, onoff_step
+from stormdp.linearize import linearize_at
 from stormdp.plant import PlantParams, f_rhs, q_pump
 from stormdp.riskdp import Grid, RiskParams, evaluate_policy_W, solve, tracking_cost
+from stormdp.sim import (
+    ControllerSpec,
+    Scenario,
+    WeatherSeries,
+    run_scenario,
+    standard_initial_states,
+)
 
 P = PlantParams()
 
@@ -60,60 +63,58 @@ class TestOnOff:
         assert (onoff_step(x1, x2, v, P) > 0) == (q_pump(x1, x2, 1.0, P) > 0)
 
 
+def _steady(w_r, w_e, n=40, dt=60.0):
+    """A weather series holding (w_r, w_e) for n samples."""
+    return WeatherSeries(t=dt * np.arange(n), w_r=np.full(n, w_r), w_e=np.full(n, w_e))
+
+
 class TestMpc:
-    def test_initial_state(self):
-        cs = initial_controller_state()
-        assert cs.u_bar == 0.0
-        assert cs.w_bar == (0.0, 0.0)
-        assert cs.history == ()
-
-    def test_forecast_length_enforced(self):
-        cfg = MpcConfig(plant=P)
-        cs = initial_controller_state()
-        with pytest.raises(ValueError):
-            mpc_step(0, 50.0, 1.0, np.zeros((3, 2)), cs, cfg)
-
     def test_on_target_zero_forecast_gives_zero_control(self):
         cfg = MpcConfig(plant=P, horizon=10, lam=1e-3)
-        cs = initial_controller_state()
-        u, _ = mpc_step(0, 50.0, P.x2_target, np.zeros((10, 2)), cs, cfg)
+        u = mpc_step(0, 50.0, P.x2_target, 0.0, _steady(0.0, 0.0), cfg)
         assert abs(u) <= 1e-6
 
     def test_huge_lambda_gives_zero_control(self):
         cfg = MpcConfig(plant=P, horizon=10, lam=1e9)
-        cs = initial_controller_state()
-        u, _ = mpc_step(0, 100.0, 0.0, np.full((10, 2), 1e-5), cs, cfg)
+        u = mpc_step(0, 100.0, 0.0, 0.0, _steady(1e-5, 1e-5), cfg)
         assert abs(u) <= 1e-6
 
-    def test_output_in_range_and_state_update(self):
+    def test_output_in_range(self):
         cfg = MpcConfig(plant=P, horizon=5)
-        cs = initial_controller_state()
-        fc = np.column_stack([np.full(5, 2e-6), np.full(5, 1e-5)])
-        u, cs2 = mpc_step(0, 100.0, 0.0, fc, cs, cfg)
+        u = mpc_step(0, 100.0, 0.0, 0.0, _steady(2e-6, 1e-5), cfg)
         assert 0.0 <= u <= 1.0
-        assert cs2.u_bar == u
-        assert cs2.history == ((2e-6, 1e-5),)
-        assert cs2.w_bar == pytest.approx((2e-6, 1e-5))
 
-    def test_history_window_and_running_mean(self):
-        cfg = MpcConfig(plant=P, horizon=3)
-        cs = initial_controller_state()
-        seen = []
-        for t in range(5):
-            wr = 1e-6 * (t + 1)
-            fc = np.column_stack([np.full(3, wr), np.zeros(3)])
-            _, cs = mpc_step(t, 100.0, 0.0, fc, cs, cfg)
-            seen.append(wr)
-            window = seen[-3:]
-            assert len(cs.history) == min(t + 1, 3)
-            assert cs.w_bar[0] == pytest.approx(np.mean(window))
+    def test_history_window_and_running_mean(self, monkeypatch):
+        # the loop hands over the last applied control, and the disturbance
+        # is the mean of the last min(t, M) weather rows, (0, 0) at t = 0
+        p = PlantParams(tau=60.0)
+        ops = []   # each operating point the MPC linearizes at
+
+        def spy(op, sp):
+            ops.append(op)
+            return linearize_at(op, sp)
+
+        monkeypatch.setattr(control, "linearize_at", spy)
+        rng = np.random.default_rng(5)
+        n, M = 30, 10   # windows of 8 rows and more round as one stacked mean
+        w = WeatherSeries(t=p.tau * np.arange(n + 1), w_r=rng.uniform(0, 2e-6, n + 1),
+                          w_e=rng.uniform(0, 5e-5, n + 1))
+        spec = ControllerSpec(kind="mpc", horizon=M)
+        trace = run_scenario(Scenario(name="high-low", x0=standard_initial_states(p)["high-low"],
+                                      N=n, controller=spec, weather=w, plant=p))
+        assert len(ops) == n and np.any(trace.u > 0)
+        assert ops[0].u == 0.0 and (ops[0].w_r, ops[0].w_e) == (0.0, 0.0)
+        for t in range(1, n):
+            assert ops[t].u == trace.u[t - 1]
+            rows = np.column_stack([w.w_r, w.w_e])[t - min(t, M):t]
+            assert (ops[t].w_r, ops[t].w_e) == tuple(rows.mean(axis=0))
 
     def test_deterministic(self):
         cfg = MpcConfig(plant=P, horizon=4)
-        fc = np.column_stack([np.full(4, 1e-6), np.full(4, 2e-5)])
-        u1, s1 = mpc_step(0, 90.0, 2.0, fc, initial_controller_state(), cfg)
-        u2, s2 = mpc_step(0, 90.0, 2.0, fc, initial_controller_state(), cfg)
-        assert u1 == u2 and s1 == s2
+        w = _steady(1e-6, 2e-5)
+        u1 = mpc_step(3, 90.0, 2.0, 0.4, w, cfg)
+        u2 = mpc_step(3, 90.0, 2.0, 0.4, w, cfg)
+        assert u1 == u2
 
 
 class TestMpcOnArrays:
@@ -123,23 +124,21 @@ class TestMpcOnArrays:
         p = PlantParams(tau=60.0)
         cfg = MpcConfig(plant=p)
         rng = np.random.default_rng(m)
-        batch = initial_controller_state()
-        singles = [initial_controller_state()] * m
+        w = WeatherSeries(t=p.tau * np.arange(30), w_r=rng.uniform(0, 2e-6, 30),
+                          w_e=np.full(30, 4e-5))
+        u = np.zeros(m)
+        singles = [0.0] * m
         for t in range(20):
             x1 = np.where(rng.random(m) < 0.3, rng.choice(GATE_X1, m), rng.uniform(0, p.cap1, m))
             x2 = np.where(rng.random(m) < 0.3, rng.choice(GATE_X2, m), rng.uniform(0, p.cap2, m))
-            fc = np.column_stack([rng.uniform(0, 2e-6, 10), np.full(10, 4e-5)])
-            u, batch = mpc_step(t, x1, x2, fc, batch, cfg)
-            alone = [mpc_step(t, a, b, fc, cs, cfg) for a, b, cs in zip(x1, x2, singles)]
-            singles = [cs for _, cs in alone]
-            assert u.shape == batch.u_bar.shape == (m,)
-            assert u.tobytes() == np.array([v for v, _ in alone]).tobytes()
-            assert (batch.w_bar, batch.history) == (singles[0].w_bar, singles[0].history)
+            u = mpc_step(t, x1, x2, u, w, cfg)
+            singles = [mpc_step(t, a, b, v, w, cfg) for a, b, v in zip(x1, x2, singles)]
+            assert u.shape == (m,)
+            assert u.tobytes() == np.array(singles).tobytes()
 
     def test_scalar_state_gives_a_scalar(self):
-        u, cs = mpc_step(0, 100.0, 0.0, np.zeros((10, 2)), initial_controller_state(),
-                         MpcConfig(plant=P))
-        assert np.ndim(u) == 0 and np.ndim(cs.u_bar) == 0
+        u = mpc_step(0, 100.0, 0.0, 0.0, _steady(0.0, 0.0), MpcConfig(plant=P))
+        assert np.ndim(u) == 0
 
 
 class TestDpStep:
@@ -175,8 +174,7 @@ class TestAllControllersAtRest:
         assert onoff_step(x1, x2, 0.5, P) == 0.0
 
         cfg = MpcConfig(plant=P)
-        u, _ = mpc_step(0, x1, x2, np.zeros((10, 2)),
-                        initial_controller_state(), cfg)
+        u = mpc_step(0, x1, x2, 0.0, _steady(0.0, 0.0), cfg)
         assert abs(u) <= 1e-6
 
         grid = Grid([0.0, x1, P.cap1], [0.0, x2, P.cap2])

@@ -121,8 +121,7 @@ def random_linear_model(rng):
 def synthetic_model(A, B, C, b, u_bar=0.0):
     op = OperatingPoint(x1=0.0, x2=0.0, u=u_bar, w_r=0.0, w_e=0.0)
     return LinearModel(A=np.asarray(A, float), B=np.asarray(B, float),
-                       C=np.asarray(C, float), b=np.asarray(b, float),
-                       op=op, tau=1.0)
+                       C=np.asarray(C, float), b=np.asarray(b, float), op=op)
 
 
 class TestCondense:
@@ -225,8 +224,7 @@ class TestSolveQp:
         lm = synthetic_model(np.eye(2), [[0.2], [0.3]], np.zeros((2, 2)),
                              [0.0, 0.0])
         lm2 = LinearModel(A=lm.A, B=lm.B, C=lm.C, b=lm.b,
-                          op=OperatingPoint(0.0, P.x2_target, 0.0, 0.0, 0.0),
-                          tau=1.0)
+                          op=OperatingPoint(0.0, P.x2_target, 0.0, 0.0, 0.0))
         ch = condense(lm2, 4, [0.0, 0.0], np.zeros((4, 2)), 1e-3, P)
         sol = solve_mpc_qp(ch)
         assert np.allclose(sol.u, 0.0, atol=1e-12)
@@ -294,13 +292,15 @@ class TestBatchedQp:
             solve_mpc_qp(self._horizon([good, bad], free, 1e-30))
 
     def test_overflowed_residual_scale_fails(self):
-        # G'G stays finite, but |H|_F overflows, so the residual scale is inf
-        # and an unguarded comparison would pass any residual
-        bad = np.tril(np.ones((4, 4))) * 1e150
-        bad[:, -1] = bad[:, 0]
+        # at 1e150 G'G stays finite, but |H|_F overflows, so the residual
+        # scale is inf and an unguarded comparison would pass any residual;
+        # at 1e160 G'G itself overflows, which must not warn either
         free = np.random.default_rng(22).normal(size=4)
-        with pytest.raises(NearSingularSystem):
-            solve_mpc_qp(self._horizon(bad, free, 1e-300))
+        for size in (1e150, 1e160):
+            bad = np.tril(np.ones((4, 4))) * size
+            bad[:, -1] = bad[:, 0]
+            with pytest.raises(NearSingularSystem):
+                solve_mpc_qp(self._horizon(bad, free, 1e-300))
 
     def test_condense_rejects_misshapen_inputs(self):
         lm = synthetic_model(np.eye(2), [[0.1], [0.1]], np.zeros((2, 2)), [0.0, 0.0])

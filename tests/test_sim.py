@@ -1,5 +1,7 @@
 """Tests for weather handling, closed-loop simulation and comparisons."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -197,7 +199,7 @@ class TestScenarioAndTrace:
         assert len(run_scenario(sc).u) == 10
 
     def test_error_keeps_its_type_and_step(self):
-        def step_fn(t, x1, x2):
+        def step_fn(t, x1, x2, u_prev):
             if t == 3:
                 raise NearSingularSystem("singular normal matrix")
             return 0.0
@@ -205,6 +207,17 @@ class TestScenarioAndTrace:
         with pytest.raises(NearSingularSystem, match="singular") as info:
             run_scenario(self._scenario(), step_fn)
         assert info.value.step == 3
+
+    def test_one_mpc_controller_drives_two_runs(self):
+        # the controller keeps no state, so a second run repeats the first;
+        # the first run ends pumping, so a control carried over would show
+        sc = self._scenario(kind="mpc", N=10)
+        step_fn = make_controller(sc.controller, P, sc.weather, sc.N)
+        a = run_scenario(sc, step_fn)
+        b = run_scenario(sc, step_fn)
+        assert a.u[-1] > 0
+        for f in fields(a):
+            assert getattr(a, f.name).tobytes() == getattr(b, f.name).tobytes(), f.name
 
     def test_trace_shape_and_determinism(self):
         sc = self._scenario()
@@ -395,7 +408,8 @@ class TestBatchedMpc:
 
     def test_mpc_cell_next_to_a_failing_cell_runs_fresh(self):
         # the failing on/off column stops the batch after the MPC controller
-        # has already stepped; its re-run alone must start from a fresh one
+        # has already stepped; its re-run alone reuses that controller and
+        # must still match a run of its own
         starts = standard_initial_states(P)
         w = wet_12h(dt=60.0)
         rows = compare(starts, [MPC, ControllerSpec(kind="onoff", v=0.0)], w, 50, P)
