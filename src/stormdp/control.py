@@ -50,8 +50,7 @@ def mpc_step(t: int, x1, x2, u_prev, weather, cfg: MpcConfig):
     k = min(t, cfg.horizon)
     # the (k, 2) window's column means, rounded as one stacked reduction
     w_bar = weather.forecast(t - k, k).mean(axis=0) if k > 0 else np.zeros(2)
-    op = OperatingPoint(x1=np.asarray(x1, dtype=float), x2=np.asarray(x2, dtype=float),
-                        u=u_prev, w_r=w_bar[0], w_e=w_bar[1])
+    op = OperatingPoint(x1=x1, x2=x2, u=u_prev, w_r=w_bar[0], w_e=w_bar[1])
     lm = linearize_at(op, cfg.smooth)
     y0 = np.zeros(2)  # linearized at the measured state
     w_dev = weather.forecast(t, cfg.horizon) - w_bar

@@ -2,7 +2,8 @@
 
 Tank 1 is an underground cistern fed by street runoff through an inlet;
 tank 2 is a rooftop vegetation bed irrigated by two pumps in series.
-All flow laws are written to accept scalars or numpy arrays.
+The flow laws do plain arithmetic, elementwise, on floats, numpy scalars
+or float arrays: inputs become arrays once, where they enter the model.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -88,12 +90,12 @@ class PlantParams:
     def _b_squared_inv(self) -> float:
         return (self.F * self.l / self.D + self.k_L) / (2.0 * self.g * self.a_pump ** 2) - self.a_hat
 
-    @property
+    @cached_property
     def b(self) -> float:
         """Pump flow coefficient: intersection of pump curve and head loss."""
         return self._b_squared_inv() ** -0.5
 
-    @property
+    @cached_property
     def c_out(self) -> float:
         """Outlet discharge coefficient c_d * pi * r_o^2 * sqrt(2 g)."""
         return self.c_d * math.pi * self.r_o ** 2 * math.sqrt(2.0 * self.g)
@@ -131,13 +133,13 @@ class PlantParams:
 
 def q_out(x1, p: PlantParams):
     """Gravity-driven outlet flow from tank 1 (m^3/s)."""
-    head = np.asarray(x1, dtype=float) / p.a1 - p.z_o
+    head = x1 / p.a1 - p.z_o
     return np.where(head > 0.0, p.c_out * np.sqrt(np.maximum(head, 0.0)), 0.0)
 
 
 def q_pump_max(x1, p: PlantParams):
     """Maximum aggregate pump flow (m^3/s): pump curve meets head loss."""
-    radicand = np.asarray(x1, dtype=float) / p.a1 + p.c_hat - p.d
+    radicand = x1 / p.a1 + p.c_hat - p.d
     if np.any(radicand <= 0.0):
         raise ValueError("pump-curve radicand not positive; invalid parameters")
     return p.b * np.sqrt(radicand)
@@ -153,17 +155,13 @@ def pump_gate(x1, x2, p: PlantParams):
 def q_pump(x1, x2, u, p: PlantParams):
     """Pump flow (m^3/s): a fraction u of the maximum where
     :func:`pump_gate` is open, else zero."""
-    u = np.asarray(u, dtype=float)
     if np.any((u < 0.0) | (u > 1.0)):
         raise ValueError("control fraction u must lie in [0, 1]")
-    x1 = np.asarray(x1, dtype=float)
-    return np.where(pump_gate(x1, np.asarray(x2, dtype=float), p),
-                    u * q_pump_max(x1, p), 0.0)
+    return np.where(pump_gate(x1, x2, p), u * q_pump_max(x1, p), 0.0)
 
 
 def q_drain(x2, p: PlantParams):
     """Darcy drainage from the soil once it reaches capacity (m^3/s)."""
-    x2 = np.asarray(x2, dtype=float)
     rate = p.K * p.a2 * (x2 / p.a2 + p.z_soil) / p.z_soil
     return np.where(x2 < p.z_cap, 0.0, rate)
 
@@ -172,8 +170,7 @@ def mass_balance(q_o, q_p, q_d, w_r, w_e, p: PlantParams):
     """Rates of change of (x1, x2) given the outlet, pump and drain flows:
     rain on the inlet and the bed, pumping from tank 1 to tank 2, and
     evapotranspiration from the bed. The smooth surrogate shares it."""
-    w_r = np.asarray(w_r, dtype=float)
-    return w_r * p.a_in - q_o - q_p, w_r * p.a2 + q_p - np.asarray(w_e, dtype=float) - q_d
+    return w_r * p.a_in - q_o - q_p, w_r * p.a2 + q_p - w_e - q_d
 
 
 def f_rhs(x1, x2, u, w_r, w_e, p: PlantParams):
@@ -188,8 +185,8 @@ def step(x1, x2, u, w_r, w_e, p: PlantParams):
     volume the clamp added (positive) or removed (negative).
     """
     f1, f2 = f_rhs(x1, x2, u, w_r, w_e, p)
-    x1e = np.asarray(x1, dtype=float) + p.tau * f1
-    x2e = np.asarray(x2, dtype=float) + p.tau * f2
+    x1e = x1 + p.tau * f1
+    x2e = x2 + p.tau * f2
     x1n = np.clip(x1e, 0.0, p.cap1)
     x2n = np.clip(x2e, 0.0, p.cap2)
     return x1n, x2n, x1n - x1e, x2n - x2e

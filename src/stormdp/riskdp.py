@@ -105,14 +105,23 @@ class Grid:
                 + _nearest_1d(self.x2_nodes, x2))
 
 
-def _nearest_1d(nodes: np.ndarray, x):
-    x = np.asarray(x, dtype=float)
+def _nearest_1d(nodes: np.ndarray, x: np.ndarray):
     if nodes.size == 1:
         return np.zeros(x.shape, dtype=int) if x.shape else 0
     j = np.clip(np.searchsorted(nodes, x), 1, nodes.size - 1)
     lower = x - nodes[j - 1]
     upper = nodes[j] - x
     return np.where(lower <= upper, j - 1, j)
+
+
+def _probabilities(p, shape) -> np.ndarray:
+    """``p`` as a float array, checked to be a distribution over outcomes of ``shape``."""
+    p = np.asarray(p, dtype=float)
+    if p.shape != shape:
+        raise ValueError(f"probabilities of shape {p.shape} for outcomes of shape {shape}")
+    if not (np.all(np.isfinite(p) & (p >= 0)) and abs(p.sum() - 1.0) <= 1e-12):
+        raise ValueError("probabilities must be finite, nonnegative and sum to 1 within 1e-12")
+    return p
 
 
 @dataclass(frozen=True)
@@ -126,13 +135,11 @@ class DisturbanceModel:
     def __post_init__(self):
         object.__setattr__(self, "w_r", np.asarray(self.w_r, dtype=float))
         object.__setattr__(self, "w_e", np.asarray(self.w_e, dtype=float))
-        object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
-        if not (self.w_r.shape == self.w_e.shape == self.p.shape):
+        if self.w_r.shape != self.w_e.shape:
             raise ValueError("atom arrays must have matching shapes")
-        if np.any(self.p <= 0):
+        object.__setattr__(self, "p", _probabilities(self.p, self.w_r.shape))
+        if np.any(self.p == 0):
             raise ValueError("atom probabilities must be positive")
-        if abs(self.p.sum() - 1.0) > 1e-12:
-            raise ValueError("atom probabilities must sum to 1")
 
     @property
     def natoms(self) -> int:
@@ -189,10 +196,10 @@ def tracking_cost(p: PlantParams, lam: float = 1e-3) -> CostSpec:
     control term."""
     def stage(t, x1, x2, u):
         del t
-        return tracking_error(np.asarray(x2), p) + lam * np.asarray(u) ** 2
+        return tracking_error(x2, p) + lam * u ** 2
 
     def terminal(x1, x2):
-        return tracking_error(np.asarray(x2), p)
+        return tracking_error(x2, p)
 
     return CostSpec(stage=stage, terminal=terminal)
 
@@ -260,12 +267,9 @@ class _Tables:
                    p: PlantParams) -> "_Tables":
         """Tables of the nearest-node successor of one clamped
         ``plant.step`` from every node under every action and atom."""
-        x1 = grid.node_x1[:, None, None]
-        x2 = grid.node_x2[:, None, None]
-        u = np.asarray(actions, dtype=float)[None, :, None]
-        wr = dm.w_r[None, None, :]
-        we = dm.w_e[None, None, :]
-        x1n, x2n, _, _ = plant_mod.step(x1, x2, u, wr, we, p)
+        x1n, x2n, _, _ = plant_mod.step(grid.node_x1[:, None, None], grid.node_x2[:, None, None],
+                                        np.asarray(actions, dtype=float)[:, None],
+                                        dm.w_r, dm.w_e, p)
         x1n = np.clip(x1n, grid.x1_nodes[0], grid.x1_nodes[-1])
         x2n = np.clip(x2n, grid.x2_nodes[0], grid.x2_nodes[-1])
         return cls(grid, actions, dm, costs, grid.nearest(x1n, x2n))
@@ -307,17 +311,13 @@ def _distinct_rows(succ: np.ndarray):
     return ranked[new], index
 
 
-def _logsumexp(a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """log sum_k p_k exp(a[..., k]) over the last axis, shifted by the row
-    maximum so that no exponential overflows."""
-    m = a.max(axis=-1)
-    return m + np.log(np.exp(a - m[..., None]) @ p)
-
-
 def _psi(V_succ: np.ndarray, p: np.ndarray, theta: float) -> np.ndarray:
-    """Entropic backup of successor values over the last (atom) axis."""
+    """Entropic backup of successor values over the last (atom) axis: a
+    log-sum-exp shifted by each row's maximum, so no exponential overflows."""
     gamma = -theta / 2.0
-    return _logsumexp(gamma * V_succ, p) / gamma
+    a = gamma * V_succ
+    m = a.max(axis=-1)
+    return (m + np.log(np.exp(a - m[..., None]) @ p)) / gamma
 
 
 def entropic_backup(V_next, t: int, rm: RiskParams, grid: Grid, dm: DisturbanceModel,
@@ -448,12 +448,12 @@ def brute_force_optimal(N: int, grid: Grid, actions, dm: DisturbanceModel,
 def risk_functional(Z, probs, theta: float) -> float:
     """Entropic risk (-2/theta) log sum p exp((-theta/2) Z), stabilized.
 
-    Outcomes with zero probability contribute nothing, whatever their value.
+    ``probs`` is a distribution over ``Z``; zero-probability outcomes add nothing.
     """
     if not theta < 0:
         raise ValueError("theta must be strictly negative")
     Z = np.asarray(Z, dtype=float)
-    probs = np.asarray(probs, dtype=float)
+    probs = _probabilities(probs, Z.shape)
     kept = probs > 0
     return float(_psi(Z[kept], probs[kept], theta))
 

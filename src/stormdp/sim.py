@@ -46,19 +46,17 @@ WEATHER_HEADER = ["t_s", "w_r_mps", "w_e_m3ps"]
 
 @dataclass(frozen=True)
 class WeatherSeries:
-    """Uniformly sampled precipitation (m/s) and evapotranspiration (m^3/s)."""
+    """Uniformly sampled precipitation (m/s) and evapotranspiration (m^3/s).
+    The columns are not to be written: ``forecast`` reads a stacked copy."""
 
     t: np.ndarray
     w_r: np.ndarray
     w_e: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
-        w_r = np.asarray(self.w_r, dtype=float)
-        w_e = np.asarray(self.w_e, dtype=float)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "w_r", w_r)
-        object.__setattr__(self, "w_e", w_e)
+        for name in ("t", "w_r", "w_e"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        t, w_r, w_e = self.t, self.w_r, self.w_e
         if not (t.size == w_r.size == w_e.size):
             raise ValueError("weather columns must have equal lengths")
         if t.size == 0:
@@ -74,17 +72,22 @@ class WeatherSeries:
                 raise ValueError("timestamps must be strictly increasing")
             if np.max(np.abs(dt - dt[0])) > 1e-6:
                 raise ValueError("timestamps must be uniformly sampled")
+        rows = np.column_stack([w_r, w_e])
+        rows.flags.writeable = False
+        object.__setattr__(self, "_rows", rows)
 
     def __len__(self) -> int:
         return self.t.size
 
     def forecast(self, t: int, M: int) -> np.ndarray:
-        """(M, 2) rows of (w_r, w_e) for steps t..t+M-1; past the last
-        sample the forecast holds that sample."""
+        """(M, 2) rows of (w_r, w_e) for steps t..t+M-1, holding the last
+        sample past the end; a read-only view where the series covers them."""
         if t < 0:
             raise ValueError("forecast start must be nonnegative")
-        idx = np.minimum(np.arange(t, t + M), self.t.size - 1)
-        return np.column_stack([self.w_r[idx], self.w_e[idx]])
+        rows = self._rows[t:t + M]
+        if len(rows) != M:   # the window runs past the last sample
+            rows = self._rows[np.minimum(np.arange(t, t + M), len(self) - 1)]
+        return rows
 
     def resample(self, dt: float) -> "WeatherSeries":
         """Piecewise-linear resampling to step dt, endpoint-exact."""
@@ -254,6 +257,8 @@ def make_controller(spec: ControllerSpec, p: PlantParams, weather: WeatherSeries
 def solve_dp(spec: ControllerSpec, p: PlantParams, weather: WeatherSeries,
              N: int) -> tuple[riskdp.ValueTable, riskdp.PolicyTable]:
     """Solve the DP of a ``dp`` spec over the first N weather samples."""
+    if len(weather) < N:
+        raise ValueError(f"weather series has {len(weather)} samples, fewer than N = {N}")
     grid = riskdp.Grid.uniform(*spec.grid_shape, p)
     actions = np.linspace(0.0, 1.0, spec.n_actions)
     dm = riskdp.DisturbanceModel.from_series(weather.w_r[:N], weather.w_e[:N],

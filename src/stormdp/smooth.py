@@ -105,17 +105,16 @@ def sigmoid_gate_deriv(z, threshold: float, sense: str, eps: float):
 def _outlet(x1, sp: SmoothParams):
     """Smooth outlet flow and its slope in x1."""
     p = sp.plant
-    r, dr = _sqrt_and_slope(np.asarray(x1, dtype=float) / p.a1 - p.z_o, sp.eps)
+    r, dr = _sqrt_and_slope(x1 / p.a1 - p.z_o, sp.eps)
     return p.c_out * r, p.c_out * dr / p.a1
 
 
 def _pump(x1, x2, u, sp: SmoothParams):
     """Smooth pump flow and its partials in x1, x2 and u."""
-    u = np.asarray(u, dtype=float)
     if np.any((u < 0.0) | (u > 1.0)):
         raise ValueError("control fraction u must lie in [0, 1]")
     p = sp.plant
-    psi, dpsi = _sqrt_and_slope(np.asarray(x1, dtype=float) / p.a1 + p.c_hat - p.d, sp.eps)
+    psi, dpsi = _sqrt_and_slope(x1 / p.a1 + p.c_hat - p.d, sp.eps)
     g1, dg1 = _gate_and_slope(x1, p.pump_gate_volume, "activate-above", sp.eps)
     g2, dg2 = _gate_and_slope(x2, p.x2_target, "activate-below", sp.eps)
     ub = u * p.b
@@ -126,7 +125,6 @@ def _pump(x1, x2, u, sp: SmoothParams):
 def _drain(x2, sp: SmoothParams):
     """Smooth drainage and its slope in x2."""
     p = sp.plant
-    x2 = np.asarray(x2, dtype=float)
     g3, dg3 = _gate_and_slope(x2, p.z_cap, "activate-above", sp.eps)
     level = x2 / p.a2 + p.z_soil
     rate = p.K * p.a2 * level / p.z_soil

@@ -133,6 +133,17 @@ class TestDpSolve:
         assert lines[0] == "x1,x2,V0,mu0"
         assert len(lines) == 1 + 25
 
+    def test_rejects_short_weather(self, tmp_path, capsys):
+        # three samples at --fast: a 3-stage solve runs, a 100-stage one is refused
+        w = tmp_path / "short.csv"
+        w.write_text("t_s,w_r_mps,w_e_m3ps\n0,0,4e-5\n60,1e-6,4e-5\n120,0,4e-5\n")
+        common = ["dp", "solve", "--fast", "--grid", "5x5", "--weather", str(w)]
+        code, _, err = run([*common, "-N", "100"], capsys)
+        assert code == 2
+        assert "weather series has 3 samples, fewer than N = 100" in err
+        code, _, _ = run([*common, "-N", "3", "--out", str(tmp_path / "dp.csv")], capsys)
+        assert code == 0
+
     def test_rejects_bad_theta(self, capsys):
         code, _, err = run(["dp", "solve", "--fast", "-N", "5",
                             "--grid", "3x3", "--theta", "0.5"], capsys)

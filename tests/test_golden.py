@@ -1,15 +1,21 @@
-"""Golden-output regression: ``compare --fast --with-dp`` and ``dp solve
---fast`` must reproduce the CSVs kept in ``tests/data``.
+"""Golden-output regression: ``compare --fast --with-dp``, ``dp solve
+--fast`` and two ``simulate`` traces, which run the per-step plant path,
+must reproduce the CSVs kept in ``tests/data``.
 
-Text columns and the policy column ``mu0`` must match exactly; numeric
-columns must match to rel=1e-9, which leaves room for a numpy build that
-rounds exp/log differently in the last bit. A deliberate change of these
-outputs regenerates both files from the repository root:
+Text columns, the policy column ``mu0`` and empty cells (a trace's last
+row has no per-step values) must match exactly; numeric columns must
+match to rel=1e-9, which leaves room for a numpy build that rounds
+exp/log differently in the last bit. A deliberate change of these
+outputs regenerates the files from the repository root:
 
     PYTHONPATH=src python -m stormdp.cli compare --fast --with-dp \\
         --out tests/data/compare_fast_with_dp.csv --timing-out /dev/null
     PYTHONPATH=src python -m stormdp.cli dp solve --fast \\
         --out tests/data/dp_solve_fast.csv
+    PYTHONPATH=src python -m stormdp.cli simulate --controller mpc -N 300 \\
+        --start high-low --out tests/data/simulate_mpc_high_low.csv
+    PYTHONPATH=src python -m stormdp.cli simulate --fast --controller onoff \\
+        --start low-low -N 240 --out tests/data/simulate_fast_onoff_low_low.csv
 """
 
 import csv
@@ -31,7 +37,11 @@ def _read(path):
 @pytest.mark.parametrize("argv, golden", [
     (["compare", "--fast", "--with-dp"], "compare_fast_with_dp.csv"),
     (["dp", "solve", "--fast"], "dp_solve_fast.csv"),
-], ids=["compare-fast-with-dp", "dp-solve-fast"])
+    (["simulate", "--controller", "mpc", "-N", "300", "--start", "high-low"],
+     "simulate_mpc_high_low.csv"),
+    (["simulate", "--fast", "--controller", "onoff", "--start", "low-low", "-N", "240"],
+     "simulate_fast_onoff_low_low.csv"),
+], ids=["compare-fast-with-dp", "dp-solve-fast", "simulate-mpc-1s", "simulate-fast-onoff"])
 def test_matches_golden_csv(tmp_path, capsys, argv, golden):
     out = tmp_path / golden
     assert main([*argv, "--out", str(out)]) == 0
@@ -42,6 +52,6 @@ def test_matches_golden_csv(tmp_path, capsys, argv, golden):
     assert len(rows) == len(want_rows)
     exact = [name in EXACT_COLUMNS for name in header]
     for got, want in zip(rows, want_rows):
-        assert ([g if e else float(g) for g, e in zip(got, exact)]
-                == [w if e else pytest.approx(float(w), rel=1e-9)
+        assert ([g if e or g == "" else float(g) for g, e in zip(got, exact)]
+                == [w if e or w == "" else pytest.approx(float(w), rel=1e-9)
                     for w, e in zip(want, exact)])

@@ -1,5 +1,6 @@
 """Unit and property tests for the exact two-tank plant."""
 
+import dataclasses
 import json
 import math
 
@@ -49,6 +50,17 @@ class TestParams:
             PlantParams.from_dict({"a1": math.inf})
         with pytest.raises(ValueError, match="parameter 'tau' must be a finite number"):
             PlantParams.from_dict({"tau": "60"})
+
+    def test_derived_coefficients_cached_per_instance(self):
+        p = PlantParams()
+        before = (repr(p), hash(p))
+        # a cached float is the same object on every read
+        assert p.b is p.b and p.c_out is p.c_out
+        assert (repr(p), hash(p)) == before
+        assert p == PlantParams() and hash(p) == hash(PlantParams())
+        q = dataclasses.replace(p, g=9.7)
+        assert q.b == PlantParams(g=9.7).b != p.b
+        assert q.c_out == PlantParams(g=9.7).c_out != p.c_out
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown"):
@@ -196,3 +208,34 @@ class TestDynamics:
         assert float(f1) == pytest.approx(1e-5 * 0.305 ** 2 * math.pi - qo - qp,
                                           rel=1e-9)
         assert float(f2) == pytest.approx(1e-5 * 68.8 + qp, rel=1e-9)
+
+
+# wet and dry states: each flow law's switching level, a rainless sample
+# and the open ranges around them
+WET_DRY_X1 = st.sampled_from([0.0, P.a1 * P.z_o, P.pump_gate_volume, P.cap1]) | st.floats(0.0, P.cap1)
+WET_DRY_X2 = st.sampled_from([0.0, P.x2_target, P.z_cap, P.cap2]) | st.floats(0.0, P.cap2)
+SCALAR_KINDS = [float, np.float64, np.array]
+
+
+class TestInputConvention:
+    """The flow laws do plain arithmetic, so a batch of states gives each
+    state's scalar bits, and every scalar kind gives the same bits."""
+
+    @given(points=st.lists(st.tuples(WET_DRY_X1, WET_DRY_X2, st.floats(0.0, 1.0),
+                                     st.just(0.0) | st.floats(0.0, 1e-3),
+                                     st.floats(0.0, 1e-4)),
+                           min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_array_call_equals_scalar_calls(self, points):
+        laws = [(q_out, lambda x1, x2, u, wr, we: (x1, P)),
+                (q_pump, lambda x1, x2, u, wr, we: (x1, x2, u, P)),
+                (q_drain, lambda x1, x2, u, wr, we: (x2, P)),
+                (f_rhs, lambda x1, x2, u, wr, we: (x1, x2, u, wr, we, P)),
+                (step, lambda x1, x2, u, wr, we: (x1, x2, u, wr, we, P))]
+        columns = [np.array(c) for c in zip(*points)]
+        for law, args in laws:
+            batch = np.asarray(law(*args(*columns)))
+            for i, point in enumerate(points):
+                for kind in SCALAR_KINDS:
+                    single = np.asarray(law(*args(*map(kind, point))))
+                    assert single.tobytes() == batch[..., i].tobytes(), (law.__name__, kind)

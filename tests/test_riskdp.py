@@ -79,6 +79,10 @@ class TestDisturbanceModel:
         with pytest.raises(ValueError):
             DisturbanceModel(w_r=[0.0, 1.0], w_e=[0.0, 0.0], p=[1.0, 0.0])
 
+    def test_rejects_nan_probability(self):
+        with pytest.raises(ValueError, match="finite"):
+            DisturbanceModel(w_r=[0.0, 1.0], w_e=[0.0, 0.0], p=[math.nan, 1.0])
+
     def test_from_series_equal_mass(self):
         w_r = np.array([0.0, 0.0, 1.0, 1.0, 2.0, 2.0])
         dm = DisturbanceModel.from_series(w_r, np.zeros(6), n_atoms=3)
@@ -453,6 +457,17 @@ class TestRiskFunctional:
 
     def test_zero_probability_outcomes_ignored(self):
         assert risk_functional([0.0, 1000.0], [1.0, 0.0], -5.0) == 0.0
+
+    @pytest.mark.parametrize("probs, message", [
+        ([0.2, 0.2], "sum to 1"),
+        ([-0.5, 1.5], "nonnegative"),
+        ([0.5, 0.25, 0.25], "shape"),
+        ([0.0, 0.0], "sum to 1"),
+        ([math.nan, 1.0], "finite"),
+    ], ids=["short-sum", "negative", "length-mismatch", "all-zero", "nan"])
+    def test_rejects_a_non_distribution(self, probs, message):
+        with pytest.raises(ValueError, match=message):
+            risk_functional([1.0, 2.0], probs, -1.0)
 
     @given(st.lists(st.tuples(st.floats(-30.0, 30.0), st.floats(0.01, 1.0)),
                     min_size=1, max_size=8))

@@ -94,6 +94,15 @@ class TestWeatherSeries:
         with pytest.raises(ValueError):
             s.forecast(-1, 2)
 
+    def test_forecast_cannot_write_the_series(self):
+        s = WeatherSeries(t=[0.0, 60.0, 120.0], w_r=[1.0, 2.0, 3.0],
+                          w_e=[4.0, 5.0, 6.0])
+        with pytest.raises(ValueError, match="read-only"):
+            s.forecast(0, 2)[0, 0] = -1.0
+        s.forecast(1, 4)[:] = -1.0   # runs past the end: a fresh array
+        assert np.array_equal(s.forecast(0, 3), [[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]])
+        assert s.forecast(1, 0).shape == (0, 2)
+
 
 class TestLoadWeatherCsv:
     def _write(self, tmp_path, text):
