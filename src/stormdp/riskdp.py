@@ -14,6 +14,14 @@ solver, policy evaluation and the brute-force policy enumeration share:
 the distinct successor rows (the successor node of each atom), one row
 index per (node, action), and the stage costs. Many (node, action) pairs
 share a row, so psi is computed once per distinct row.
+
+Two actions of one node that share a row share psi, and fl(c + psi) is
+monotone in c. Under a stage cost that does not depend on t, ``solve``
+therefore drops action a wherever a lower-index action of the same node
+has the same row and a cost no larger: that action ties a or beats it,
+and ties go to the lower index. On the default 41x41 grid with 11
+actions, every node keeps action 0 alone at tau = 1 s (1681 pairs); at
+``--fast`` 1537 nodes keep one action, 132 two and 12 three.
 """
 
 from __future__ import annotations
@@ -245,6 +253,15 @@ class _Tables:
 
     A stage cost that does not depend on t is evaluated once, here; a
     time-varying one is evaluated on each ``stage_cost`` call.
+
+    ``cand`` lists, for every node, the actions that can win the minimum
+    of ``_backup``, ascending, padded to a common width k by repeating
+    the node's last one, so a pad never wins a tie; ``cand_row`` holds
+    their rows. Under a fixed cost, action a is left out where a
+    lower-index action of the node has the same row and a cost no
+    larger. At tau = 1 s every node keeps action 0 alone (k = 1); at
+    ``--fast`` k = 3, with 1537 nodes keeping one action, 132 two and
+    12 three. Under a time-varying cost ``cand`` is every action.
     """
 
     def __init__(self, grid: Grid, actions, dm: DisturbanceModel, costs: CostSpec,
@@ -258,9 +275,16 @@ class _Tables:
         self.rows = np.resize(distinct, (-(-distinct.shape[0] // n_actions), n_actions,
                                          dm.natoms))
         self.row_of = row_of.reshape(grid.nnodes, n_actions)
-        self._fixed_cost = None
-        if not costs.time_varying:
-            self._fixed_cost = self.stage_cost(0)
+        self._fixed_cost = self._kept = None
+        if costs.time_varying:
+            self.cand = np.broadcast_to(np.arange(n_actions), self.row_of.shape)
+            self.cand_row = self.row_of
+        else:
+            cost = self._fixed_cost = self.stage_cost(0)
+            self.cand = _undominated(self.row_of, cost)
+            self.cand_row = np.take_along_axis(self.row_of, self.cand, axis=1)
+            self._kept = (np.take_along_axis(cost, self.cand, axis=1),
+                          float(cost.min()), float(cost.max()))
 
     @classmethod
     def from_plant(cls, grid: Grid, actions, dm: DisturbanceModel, costs: CostSpec,
@@ -291,6 +315,14 @@ class _Tables:
         return np.broadcast_to(np.asarray(c, dtype=float),
                                (self.grid.nnodes, self.actions.size))
 
+    def kept_cost(self, cost: np.ndarray):
+        """The stage cost ``cost`` from ``stage_cost`` on the ``cand``
+        pairs, shape (nnodes, k), and its least and greatest entry over
+        every (node, action). A fixed cost's are gathered once, here."""
+        if self._kept is not None:
+            return self._kept
+        return cost, cost.min(), cost.max()
+
     def terminal_cost(self) -> np.ndarray:
         """The terminal cost on every node, shape (nnodes,)."""
         return np.asarray(self.costs.terminal(self.grid.node_x1, self.grid.node_x2),
@@ -309,6 +341,22 @@ def _distinct_rows(succ: np.ndarray):
     index = np.empty(order.size, dtype=np.intp)
     index[order] = np.cumsum(new) - 1
     return ranked[new], index
+
+
+def _undominated(row_of: np.ndarray, cost: np.ndarray) -> np.ndarray:
+    """The actions of each node that no lower-index action with the same
+    row and a cost no larger dominates, ascending, padded to a common
+    width by repeating each node's last one. Action 0 is always kept."""
+    n_actions = row_of.shape[1]
+    dropped = np.zeros(row_of.shape, dtype=bool)
+    later = np.arange(n_actions)
+    for b in range(n_actions - 1):
+        dropped |= ((later > b) & (row_of == row_of[:, b, None])
+                    & (cost[:, b, None] <= cost))
+    kept = np.count_nonzero(~dropped, axis=1)
+    first_kept = np.argsort(dropped, axis=1, kind="stable")[:, :kept.max()]
+    pad = np.minimum(np.arange(first_kept.shape[1]), kept[:, None] - 1)
+    return np.take_along_axis(first_kept, pad, axis=1)
 
 
 def _psi(V_succ: np.ndarray, p: np.ndarray, theta: float) -> np.ndarray:
@@ -331,38 +379,59 @@ def entropic_backup(V_next, t: int, rm: RiskParams, grid: Grid, dm: DisturbanceM
     return _backup(np.asarray(V_next, dtype=float), tables.stage_cost(t), rm.theta, tables)
 
 
-def _q_values(V_next, cost, theta, tables: _Tables):
-    """c_t(x,u) + psi_t(x,u) for every node and action, shape (nnodes, nA),
-    given the stage cost ``cost`` = c_t on the same shape.
+def _row_psi(V_next, theta, tables: _Tables) -> np.ndarray:
+    """psi_t once per distinct successor row, shaped as ``tables.rows``
+    without its atom axis, so ``row_of`` indexes it flat.
 
-    psi is computed once per distinct successor row, then read out for
-    every (node, action) through ``row_of``. ``theta=None`` backs up the
-    plain expectation instead of psi. psi takes one exponential per node,
-    shifted by min V'; expm1/log1p keep rows whose atoms share a
-    successor exact. Past EXP_SHIFT_LIMIT it takes the per-row max shift
-    of ``_psi``.
+    ``theta=None`` backs up the plain expectation instead of psi. psi
+    takes one exponential per node, shifted by min V'; expm1/log1p keep
+    rows whose atoms share a successor exact. Past EXP_SHIFT_LIMIT it
+    takes the per-row max shift of ``_psi``.
     """
     rows, p = tables.rows, tables.dm.p
     if theta is None:
-        psi = (V_next[rows] * p).sum(axis=-1)
-    else:
-        gamma = -theta / 2.0
-        m = V_next.min()
-        if gamma * (V_next.max() - m) <= EXP_SHIFT_LIMIT:
-            e = np.expm1(gamma * (V_next - m))
-            psi = m + np.log1p(e[rows] @ p) / gamma
-        else:
-            psi = _psi(V_next[rows], p, theta)
-    return cost + psi.take(tables.row_of)
+        return (V_next[rows] * p).sum(axis=-1)
+    gamma = -theta / 2.0
+    m = V_next.min()
+    if gamma * (V_next.max() - m) <= EXP_SHIFT_LIMIT:
+        e = np.expm1(gamma * (V_next - m))
+        return m + np.log1p(e[rows] @ p) / gamma
+    return _psi(V_next[rows], p, theta)
+
+
+def _q_values(V_next, cost, theta, tables: _Tables):
+    """c_t(x,u) + psi_t(x,u) for every node and action, shape (nnodes, nA),
+    given the stage cost ``cost`` = c_t on the same shape."""
+    return cost + _row_psi(V_next, theta, tables).take(tables.row_of)
 
 
 def _backup(V_next, cost, theta, tables: _Tables):
+    """V_t and its argmin on every node, given the stage cost ``cost`` =
+    c_t from ``stage_cost``, read from the ``cand`` pairs only.
+
+    psi is computed once per distinct row and read at ``cand_row``; the
+    argmin runs over the k candidate columns (none when k = 1) and maps
+    the winning column back to its action. The result is the argmin
+    over every action, ties to the lowest index, bit for bit, because a
+    left-out action ties or loses to a kept one of lower index.
+
+    Raises if any (node, action) value, kept or not, fails to be finite.
+    The least and greatest cost plus the least and greatest psi bound
+    every value; where either sum is not finite, every value is computed
+    and checked.
+    """
+    kept, c_lo, c_hi = tables.kept_cost(cost)
     with np.errstate(over="ignore", invalid="ignore"):   # reported just below
-        v = _q_values(V_next, cost, theta, tables)
-    if not np.all(np.isfinite(v)):
-        raise ArithmeticError("non-finite value in entropic backup")
-    mu = np.argmin(v, axis=1)
-    return v[np.arange(v.shape[0]), mu], mu
+        psi = _row_psi(V_next, theta, tables)
+        q = kept + psi.take(tables.cand_row)
+        if not (np.isfinite(c_lo + psi.min()) and np.isfinite(c_hi + psi.max())):
+            if not np.all(np.isfinite(cost + psi.take(tables.row_of))):
+                raise ArithmeticError("non-finite value in entropic backup")
+    if q.shape[1] == 1:
+        # a fresh array, as argmin gives, not a view of the tables
+        return q[:, 0], tables.cand[:, 0].copy()
+    flat = np.argmin(q, axis=1) + np.arange(0, q.size, q.shape[1])
+    return q.take(flat), tables.cand.take(flat)
 
 
 def solve(N: int, grid: Grid, actions, dm: DisturbanceModel, costs: CostSpec,

@@ -1,6 +1,7 @@
-"""Golden-output regression: ``compare --fast --with-dp``, ``dp solve
---fast`` and two ``simulate`` traces, which run the per-step plant path,
-must reproduce the CSVs kept in ``tests/data``.
+"""Golden-output regression: ``compare --fast --with-dp``, ``dp solve``
+at ``--fast`` and at the default tau = 1 s, and two ``simulate`` traces,
+which run the per-step plant path, must reproduce the CSVs kept in
+``tests/data``.
 
 Text columns, the policy column ``mu0`` and empty cells (a trace's last
 row has no per-step values) must match exactly; numeric columns must
@@ -12,6 +13,8 @@ outputs regenerates the files from the repository root:
         --out tests/data/compare_fast_with_dp.csv --timing-out /dev/null
     PYTHONPATH=src python -m stormdp.cli dp solve --fast \\
         --out tests/data/dp_solve_fast.csv
+    PYTHONPATH=src python -m stormdp.cli dp solve -N 180 \\
+        --out tests/data/dp_solve_1s.csv
     PYTHONPATH=src python -m stormdp.cli simulate --controller mpc -N 300 \\
         --start high-low --out tests/data/simulate_mpc_high_low.csv
     PYTHONPATH=src python -m stormdp.cli simulate --fast --controller onoff \\
@@ -37,11 +40,13 @@ def _read(path):
 @pytest.mark.parametrize("argv, golden", [
     (["compare", "--fast", "--with-dp"], "compare_fast_with_dp.csv"),
     (["dp", "solve", "--fast"], "dp_solve_fast.csv"),
+    (["dp", "solve", "-N", "180"], "dp_solve_1s.csv"),
     (["simulate", "--controller", "mpc", "-N", "300", "--start", "high-low"],
      "simulate_mpc_high_low.csv"),
     (["simulate", "--fast", "--controller", "onoff", "--start", "low-low", "-N", "240"],
      "simulate_fast_onoff_low_low.csv"),
-], ids=["compare-fast-with-dp", "dp-solve-fast", "simulate-mpc-1s", "simulate-fast-onoff"])
+], ids=["compare-fast-with-dp", "dp-solve-fast", "dp-solve-1s", "simulate-mpc-1s",
+        "simulate-fast-onoff"])
 def test_matches_golden_csv(tmp_path, capsys, argv, golden):
     out = tmp_path / golden
     assert main([*argv, "--out", str(out)]) == 0

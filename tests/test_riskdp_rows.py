@@ -1,10 +1,12 @@
 """The distinct-row successor table of the entropic DP.
 
 ``riskdp._Tables`` keeps each distinct successor row once and backs it
-up once per stage. These tests hold that kernel to the bits of the
-full-gather kernel it replaced, which backed up every (node, action,
-atom) successor of the dense table, and count the rows of two instances
-by hand.
+up once per stage, and under a fixed cost ``solve`` backs up only the
+(node, action) pairs that no lower-index action dominates. These tests
+hold both to the bits of the dense backup they replaced, which backed up
+every (node, action, atom) successor of the dense table and took the
+argmin over every action, and count the rows and the kept actions of two
+instances by hand.
 """
 
 import numpy as np
@@ -46,6 +48,64 @@ def full_gather_q_values(V_next, cost, theta, succ, p):
 
 def _full_gather(V_next, cost, theta, tables):
     return full_gather_q_values(V_next, cost, theta, tables.succ, tables.dm.p)
+
+
+def dense_backup(V_next, cost, theta, tables):
+    """The dense backup: full-gather Q over every (node, action), then the
+    argmin, ties to the lowest index, and its value."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = _full_gather(V_next, cost, theta, tables)
+    if not np.all(np.isfinite(q)):
+        raise ArithmeticError("non-finite value in entropic backup")
+    mu = np.argmin(q, axis=1)
+    return q[np.arange(q.shape[0]), mu], mu
+
+
+def dense_solve(N, theta, tables):
+    """Backward induction by ``dense_backup``: (V, mu) of shapes
+    (N+1, nnodes) and (N, nnodes)."""
+    V = np.empty((N + 1, tables.grid.nnodes))
+    mu = np.empty((N, tables.grid.nnodes), dtype=int)
+    V[N] = tables.terminal_cost()
+    for t in range(N - 1, -1, -1):
+        V[t], mu[t] = dense_backup(V[t + 1], tables.stage_cost(t), theta, tables)
+    return V, mu
+
+
+def undominated(row_of, cost):
+    """Per node, the actions that no lower-index action with the same row
+    and a cost no larger dominates, by loops."""
+    return [[a for a in range(len(rows))
+             if not any(rows[b] == rows[a] and costs[b] <= costs[a] for b in range(a))]
+            for rows, costs in zip(row_of.tolist(), cost.tolist())]
+
+
+def _random_rows(rng, shape, pool):
+    """A successor table of ``shape`` (nodes, actions, atoms) in which about
+    half the actions of each node draw their row from ``pool`` rows of
+    that node, so that actions of one node share rows."""
+    n_nodes, n_actions, n_atoms = shape
+    succ = rng.integers(0, n_nodes, size=shape)
+    pooled = rng.integers(0, n_nodes, size=(n_nodes, pool, n_atoms))[
+        np.arange(n_nodes)[:, None], rng.integers(0, pool, size=(n_nodes, n_actions))]
+    return np.where(rng.random((n_nodes, n_actions, 1)) < 0.5, pooled, succ)
+
+
+def _fixed_cost(kind, rng, n_nodes, n_actions):
+    """A (nodes, actions) stage cost: a node term plus lam u^2 with lam of
+    either sign, the same value everywhere, uniform draws, or draws from
+    two values, which tie often."""
+    u = np.linspace(0.0, 1.0, n_actions)
+    node = rng.uniform(0.0, 1.0, size=(n_nodes, 1))
+    if kind == "increasing":
+        return node + rng.uniform(1e-6, 1.0) * u ** 2
+    if kind == "decreasing":
+        return node - rng.uniform(1e-6, 1.0) * u ** 2
+    if kind == "constant":
+        return np.full((n_nodes, n_actions), rng.uniform(0.0, 1.0))
+    if kind == "random":
+        return rng.uniform(0.0, 1.0, size=(n_nodes, n_actions))
+    return node + 0.5 * rng.integers(0, 2, size=(n_nodes, n_actions))
 
 
 # theta and the range of gamma * (max V' - min V') that selects each kernel
@@ -96,6 +156,43 @@ class TestFullGatherBits:
             q = riskdp._q_values(V, cost, theta, tables)
             assert np.array_equal(q, full_gather_q_values(V, cost, theta, succ, dm.p))
 
+    @given(seed=st.integers(0, 2 ** 32 - 1), kernel=st.sampled_from(sorted(KERNELS)),
+           spread=st.floats(0.0, 1.0), pool=st.integers(1, 3), time_varying=st.booleans(),
+           cost_kind=st.sampled_from(["constant", "decreasing", "increasing", "random",
+                                      "tied"]),
+           shape=st.tuples(st.integers(1, 8), st.integers(1, 6), st.integers(1, 4)))
+    @settings(max_examples=150, deadline=None)
+    def test_backup(self, seed, kernel, spread, pool, time_varying, cost_kind, shape):
+        # the backup over the kept pairs against the dense one, for every
+        # kernel, on tables whose actions share rows within a node
+        n_nodes, n_actions, n_atoms = shape
+        rng = np.random.default_rng(seed)
+        cost = _fixed_cost(cost_kind, rng, n_nodes, n_actions)
+        costs = CostSpec(stage=lambda t, x1, x2, u: cost * (1.0 + t), terminal=None,
+                         time_varying=time_varying)
+        dm = DisturbanceModel(w_r=np.zeros(n_atoms), w_e=np.zeros(n_atoms),
+                              p=rng.dirichlet(np.ones(n_atoms)))
+        grid = Grid(np.linspace(0.0, 1.0, n_nodes), [0.0])
+        tables = riskdp._Tables(grid, np.linspace(0.0, 1.0, n_actions), dm, costs,
+                                _random_rows(rng, shape, pool))
+        kept = (undominated(tables.row_of, cost) if not time_varying
+                else [list(range(n_actions))] * n_nodes)
+        width = max(map(len, kept))
+        assert tables.cand.tolist() == [a + a[-1:] * (width - len(a)) for a in kept]
+        assert np.array_equal(tables.cand_row,
+                              np.take_along_axis(tables.row_of, tables.cand, axis=1))
+        theta, (lo, hi) = KERNELS[kernel]
+        gamma = 1.0 if theta is None else -theta / 2.0
+        span = (lo + (hi - lo) * 1e-4 ** spread) / gamma
+        V = span * rng.uniform(0.0, 1.0, n_nodes)
+        V[0], V[-1] = 0.0, span
+        for t in range(2):
+            c_t = tables.stage_cost(t)
+            ours = riskdp._backup(V, c_t, theta, tables)
+            ref = dense_backup(V, c_t, theta, tables)
+            assert np.array_equal(ours[0], ref[0])
+            assert np.array_equal(ours[1], ref[1])
+
     @staticmethod
     def _both(monkeypatch, run):
         """``run()`` with the distinct-row kernel, then with the full-gather one."""
@@ -105,14 +202,27 @@ class TestFullGatherBits:
 
     @pytest.mark.parametrize("theta", [None, -1.5, -1000.0])
     @pytest.mark.parametrize("time_varying", [False, True])
-    def test_solve(self, monkeypatch, theta, time_varying):
+    def test_solve(self, theta, time_varying):
         inst = oracle_instance()
         costs = CostSpec(inst.costs.stage, inst.costs.terminal, time_varying)
         rm = None if theta is None else RiskParams(theta)
-        ours, ref = self._both(monkeypatch, lambda: solve(
-            inst.N, inst.grid, inst.actions, inst.dm, costs, inst.plant, rm))
-        assert np.array_equal(ours[0].V, ref[0].V)
-        assert np.array_equal(ours[1].mu, ref[1].mu)
+        values, policy = solve(inst.N, inst.grid, inst.actions, inst.dm, costs, inst.plant, rm)
+        tables = riskdp._Tables.from_plant(inst.grid, inst.actions, inst.dm, costs, inst.plant)
+        V, mu = dense_solve(inst.N, theta, tables)
+        assert np.array_equal(values.V, V)
+        assert np.array_equal(policy.mu, mu)
+
+    @pytest.mark.parametrize("theta", [None, -0.1, -10.0])
+    def test_solve_fast_instance(self, theta):
+        # 41 x 41 nodes at tau = 60 s, where nodes keep up to three actions
+        p = PlantParams(tau=60.0)
+        weather = wet_12h(dt=60.0)
+        tables = _plant_tables(p, weather.w_r[:720], weather.w_e[:720])
+        rm = None if theta is None else RiskParams(theta)
+        values, policy = solve(40, tables.grid, tables.actions, tables.dm, tables.costs, p, rm)
+        V, mu = dense_solve(40, theta, tables)
+        assert np.array_equal(values.V, V)
+        assert np.array_equal(policy.mu, mu)
 
     @pytest.mark.parametrize("theta", [-0.3, -1.5])
     def test_evaluate_policy_W(self, monkeypatch, theta):
@@ -144,6 +254,50 @@ def _plant_tables(p, w_r, w_e):
                                      tracking_cost(p, lam=spec.lam), p)
 
 
+class TestNonFiniteGuard:
+    """The backup raises where any (node, action) value is not finite,
+    kept or left out, as the dense backup does."""
+
+    @staticmethod
+    def _solve(stage_cost, V_terminal, theta):
+        # one self-looping node, so both actions share its row
+        p = PlantParams(tau=1.0)
+        costs = CostSpec(stage=lambda t, x1, x2, u: np.broadcast_to(stage_cost, (x1.size, 2)),
+                         terminal=lambda x1, x2: np.asarray(V_terminal, dtype=float))
+        dm = DisturbanceModel(w_r=np.zeros(2), w_e=np.zeros(2), p=[0.5, 0.5])
+        grid = Grid.uniform(1, 1, p)
+        rm = None if theta is None else RiskParams(theta)
+        return solve(1, grid, [0.0, 1.0], dm, costs, p, rm)
+
+    @pytest.mark.parametrize("theta", [None, -0.1])
+    @pytest.mark.parametrize("stage_cost, V_terminal", [
+        ([0.0, 1e308], [1.7e308]),          # only the left-out action overflows
+        ([0.0, np.inf], [0.0]),             # the left-out action costs inf
+        ([0.0, np.nan], [0.0]),
+        ([0.0, 0.0], [np.inf]),
+    ], ids=["dominated-overflow", "dominated-inf", "nan", "inf-psi"])
+    def test_raises(self, stage_cost, V_terminal, theta):
+        with pytest.raises(ArithmeticError, match="non-finite value in entropic backup"):
+            self._solve(np.array([stage_cost]), V_terminal, theta)
+
+    @pytest.mark.parametrize("theta", [None, -0.1])
+    def test_loose_bound_checks_every_value(self, theta):
+        # the greatest cost and the greatest psi sit on different nodes:
+        # their sum overflows, every value does not
+        p = PlantParams(tau=1.0)
+        cost = np.array([[0.0, 1e308], [0.0, 0.0]])
+        costs = CostSpec(stage=lambda t, x1, x2, u: cost,
+                         terminal=lambda x1, x2: np.array([0.0, 1.7e308]))
+        dm = DisturbanceModel(w_r=np.zeros(1), w_e=np.zeros(1), p=[1.0])
+        grid = Grid([0.0, 1.0], [0.0])
+        tables = riskdp._Tables(grid, [0.0, 1.0], dm, costs, np.array([[[0], [0]], [[1], [1]]]))
+        assert tables.cand.tolist() == [[0], [0]]
+        V, mu = riskdp._backup(tables.terminal_cost(), cost, theta, tables)
+        ref = dense_backup(tables.terminal_cost(), cost, theta, tables)
+        assert np.array_equal(V, ref[0])
+        assert np.array_equal(mu, ref[1])
+
+
 class TestRowCount:
     def test_fast_instance(self):
         # 41 x 41 nodes x 11 actions x 3 atoms at tau = 60 s
@@ -154,6 +308,12 @@ class TestRowCount:
         assert np.unique(tables.row_of).size == 1517
         # the blocks hold each distinct row once, plus the last block's padding
         assert tables.rows.shape == (138, 11, 3)
+        # the cost rises with u, so a node keeps the first action of each
+        # of its distinct rows
+        assert tables.cand.shape == (41 * 41, 3)
+        kept = [len(set(actions)) for actions in tables.cand.tolist()]
+        assert np.bincount(kept).tolist() == [0, 1537, 132, 12]
+        assert np.all(tables.cand[:, 0] == 0)
 
     def test_self_loops_at_one_second(self):
         # a storm repeating three rain levels bins into three atoms; at
@@ -167,6 +327,10 @@ class TestRowCount:
         assert np.array_equal(tables.succ,
                               np.broadcast_to(nodes[:, None, None], (nodes.size, 11, 3)))
         assert np.array_equal(tables.row_of, np.repeat(nodes[:, None], 11, axis=1))
+        # so action 0, the cheapest, is the only one each node keeps
+        assert tables.cand.shape == (41 * 41, 1)
+        assert not tables.cand.any()
+        assert np.array_equal(tables.cand_row[:, 0], nodes)
 
     def test_dense_table_is_read_only(self):
         tables = _plant_tables(PlantParams(tau=60.0), np.zeros(3), np.zeros(3))
