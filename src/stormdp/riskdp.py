@@ -214,9 +214,11 @@ def tracking_cost(p: PlantParams, lam: float = 1e-3) -> CostSpec:
 
 @dataclass(frozen=True)
 class ValueTable:
-    """Per-stage values V[t] on grid nodes, t in {0..N}."""
+    """Per-stage values V[t] on grid nodes, t in {0..N}, shape
+    (N+1, nnodes); under ``solve(..., keep_values=False)`` only the row
+    V[0], shape (1, nnodes)."""
 
-    V: np.ndarray  # (N+1, nnodes)
+    V: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -401,7 +403,8 @@ def _row_psi(V_next, theta, tables: _Tables) -> np.ndarray:
 
 def _q_values(V_next, cost, theta, tables: _Tables):
     """c_t(x,u) + psi_t(x,u) for every node and action, shape (nnodes, nA),
-    given the stage cost ``cost`` = c_t on the same shape."""
+    given the stage cost ``cost`` = c_t on the same shape: the dense
+    values that ``_backup`` checks where its bound is not finite."""
     return cost + _row_psi(V_next, theta, tables).take(tables.row_of)
 
 
@@ -425,7 +428,7 @@ def _backup(V_next, cost, theta, tables: _Tables):
         psi = _row_psi(V_next, theta, tables)
         q = kept + psi.take(tables.cand_row)
         if not (np.isfinite(c_lo + psi.min()) and np.isfinite(c_hi + psi.max())):
-            if not np.all(np.isfinite(cost + psi.take(tables.row_of))):
+            if not np.all(np.isfinite(_q_values(V_next, cost, theta, tables))):
                 raise ArithmeticError("non-finite value in entropic backup")
     if q.shape[1] == 1:
         # a fresh array, as argmin gives, not a view of the tables
@@ -435,36 +438,51 @@ def _backup(V_next, cost, theta, tables: _Tables):
 
 
 def solve(N: int, grid: Grid, actions, dm: DisturbanceModel, costs: CostSpec,
-          p: PlantParams, rm: RiskParams | None):
+          p: PlantParams, rm: RiskParams | None, *, keep_values: bool = True):
     """Backward induction over N stages.
 
     ``rm=None`` runs the risk-neutral solver (plain expectation backup),
     used as the theta -> 0 limit reference. Returns (ValueTable,
     PolicyTable).
+
+    V_t needs only V_{t+1}, so with ``keep_values=False`` the values
+    live in two rows that the stages take in turn (stage t writes row
+    t % 2), and the ValueTable holds V[0] alone, shape (1, nnodes), with
+    the bits of the full table's row 0. The policy table is kept whole
+    either way.
     """
     if N < 1:
         raise ValueError("horizon N must be at least 1")
     tables = _Tables.from_plant(grid, actions, dm, costs, p)
     theta = None if rm is None else rm.theta
-    V = np.empty((N + 1, grid.nnodes))
+    V = np.empty((N + 1 if keep_values else 2, grid.nnodes))
     mu = np.empty((N, grid.nnodes), dtype=np.min_scalar_type(tables.actions.size - 1))
-    V[N] = tables.terminal_cost()
+    n_rows = len(V)
+    V[N % n_rows] = tables.terminal_cost()
     for t in range(N - 1, -1, -1):
-        V[t], mu[t] = _backup(V[t + 1], tables.stage_cost(t), theta, tables)
-    return ValueTable(V=V), PolicyTable(mu=mu, actions=tables.actions, grid=grid)
+        V[t % n_rows], mu[t] = _backup(V[(t + 1) % n_rows], tables.stage_cost(t), theta,
+                                       tables)
+    return (ValueTable(V=V if keep_values else V[:1]),
+            PolicyTable(mu=mu, actions=tables.actions, grid=grid))
 
 
 def _policy_values(policy_mu: np.ndarray, theta: float, tables: _Tables,
                    stage_cost: Callable) -> np.ndarray:
     """Entropic values V_t of a fixed Markov policy, shape (N+1, nnodes):
     the backup of ``solve`` with the action taken from the policy and
-    c_t from ``stage_cost(t)``."""
+    c_t from ``stage_cost(t)``. Each stage reads c_t and psi at the
+    policy's (node, action) pairs only; the add is elementwise, so the
+    values have the bits of the dense Q read at those pairs."""
     N = policy_mu.shape[0]
-    nodes = np.arange(tables.grid.nnodes)
+    # flat (node, action) index of each stage's pairs, and their rows; an
+    # action index out of range raises ValueError
+    pair = np.ravel_multi_index((np.arange(tables.grid.nnodes), policy_mu),
+                                tables.row_of.shape)
+    rows = tables.row_of.take(pair)
     V = np.empty((N + 1, tables.grid.nnodes))
     V[N] = tables.terminal_cost()
     for t in range(N - 1, -1, -1):
-        V[t] = _q_values(V[t + 1], stage_cost(t), theta, tables)[nodes, policy_mu[t]]
+        V[t] = stage_cost(t).take(pair[t]) + _row_psi(V[t + 1], theta, tables).take(rows[t])
     return V
 
 

@@ -256,7 +256,11 @@ def make_controller(spec: ControllerSpec, p: PlantParams, weather: WeatherSeries
 
 def solve_dp(spec: ControllerSpec, p: PlantParams, weather: WeatherSeries,
              N: int) -> tuple[riskdp.ValueTable, riskdp.PolicyTable]:
-    """Solve the DP of a ``dp`` spec over the first N weather samples."""
+    """Solve the DP of a ``dp`` spec over the first N weather samples.
+
+    Every caller reads the policy and at most V[0], so the values are
+    solved in two rows and the ValueTable holds V[0] alone, shape
+    (1, nnodes); call ``riskdp.solve`` for every stage's values."""
     if len(weather) < N:
         raise ValueError(f"weather series has {len(weather)} samples, fewer than N = {N}")
     grid = riskdp.Grid.uniform(*spec.grid_shape, p)
@@ -264,7 +268,8 @@ def solve_dp(spec: ControllerSpec, p: PlantParams, weather: WeatherSeries,
     dm = riskdp.DisturbanceModel.from_series(weather.w_r[:N], weather.w_e[:N],
                                              n_atoms=spec.n_atoms)
     costs = riskdp.tracking_cost(p, lam=spec.lam)
-    return riskdp.solve(N, grid, actions, dm, costs, p, riskdp.RiskParams(spec.theta))
+    return riskdp.solve(N, grid, actions, dm, costs, p, riskdp.RiskParams(spec.theta),
+                        keep_values=False)
 
 
 @dataclass(frozen=True)

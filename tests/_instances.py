@@ -16,7 +16,8 @@ import numpy as np
 
 from stormdp import plant as plant_mod
 from stormdp.plant import PlantParams
-from stormdp.riskdp import CostSpec, DisturbanceModel, Grid
+from stormdp.riskdp import CostSpec, DisturbanceModel, Grid, tracking_cost
+from stormdp.sim import ControllerSpec
 
 
 @dataclass(frozen=True)
@@ -138,3 +139,12 @@ def enumerate_policies(inst: TinyInstance):
     n_entries = inst.N * inst.grid.nnodes
     for flat in itertools.product(range(inst.actions.size), repeat=n_entries):
         yield np.asarray(flat, dtype=np.int64).reshape(inst.N, inst.grid.nnodes)
+
+
+def dp_spec_inputs(p: PlantParams, w_r, w_e):
+    """The grid, actions, disturbance model and cost that ``sim.solve_dp``
+    builds for the default DP spec on the weather series (w_r, w_e)."""
+    spec = ControllerSpec(kind="dp")
+    return (Grid.uniform(*spec.grid_shape, p), np.linspace(0.0, 1.0, spec.n_actions),
+            DisturbanceModel.from_series(w_r, w_e, n_atoms=spec.n_atoms),
+            tracking_cost(p, lam=spec.lam))

@@ -1,6 +1,7 @@
 """Tests for the entropic-risk dynamic-programming solver."""
 
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _instances import (
+    dp_spec_inputs,
     lookup_cost,
     oracle_instance,
     path_enumeration_value,
@@ -202,13 +204,14 @@ class TestPerNodeKernel:
         # theta = -10 on the --fast instance: gamma (max V' - min V') starts
         # below the limit and passes it mid-recursion
         p = PlantParams(tau=60.0)
-        spec = ControllerSpec(kind="dp", theta=-10.0)
         weather = wet_12h(dt=60.0)
-        values, policy = solve_dp(spec, p, weather, 720)
+        args = (*dp_spec_inputs(p, weather.w_r[:720], weather.w_e[:720]), p,
+                RiskParams(-10.0))
+        values, policy = solve(720, *args)
         gamma_range = 5.0 * np.ptp(values.V[1:], axis=1)
         assert gamma_range.min() <= riskdp.EXP_SHIFT_LIMIT < gamma_range.max()
         monkeypatch.setattr(riskdp, "EXP_SHIFT_LIMIT", -1.0)
-        ref_values, ref_policy = solve_dp(spec, p, weather, 720)
+        ref_values, ref_policy = solve(720, *args)
         assert np.array_equal(policy.mu, ref_policy.mu)
         np.testing.assert_allclose(values.V, ref_values.V, rtol=1e-10)
 
@@ -296,6 +299,56 @@ class TestSolve:
         assert np.all(np.abs(attained - values.V[0]) <= 1e-9)
 
 
+class TestKeepValues:
+    """``keep_values=False`` solves in two value rows and returns V[0]
+    alone, with the bits of the full table's V[0] and the same policy."""
+
+    @staticmethod
+    def _assert_same(N, grid, actions, dm, costs, p, rm):
+        full_values, full_policy = solve(N, grid, actions, dm, costs, p, rm)
+        values, policy = solve(N, grid, actions, dm, costs, p, rm, keep_values=False)
+        assert values.V.shape == (1, grid.nnodes)
+        assert np.array_equal(values.V[0], full_values.V[0])
+        assert np.array_equal(policy.mu, full_policy.mu)
+
+    @pytest.mark.parametrize("time_varying", [False, True])
+    @pytest.mark.parametrize("theta", [None, -0.1, -10.0])
+    @pytest.mark.parametrize("N", [1, 2, 3, 720])
+    def test_fast_instance(self, N, theta, time_varying):
+        # theta = -10 passes EXP_SHIFT_LIMIT mid-recursion at N = 720
+        p = PlantParams(tau=60.0)
+        weather = wet_12h(dt=60.0)
+        grid, actions, dm, costs = dp_spec_inputs(p, weather.w_r[:720], weather.w_e[:720])
+        costs = CostSpec(costs.stage, costs.terminal, time_varying)
+        self._assert_same(N, grid, actions, dm, costs, p,
+                          None if theta is None else RiskParams(theta))
+
+    @pytest.mark.parametrize("time_varying", [False, True])
+    @pytest.mark.parametrize("theta", [None, -0.1, -10.0])
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_oracle_instance(self, N, theta, time_varying):
+        inst = oracle_instance()
+        costs = CostSpec(inst.costs.stage, inst.costs.terminal, time_varying)
+        self._assert_same(N, inst.grid, inst.actions, inst.dm, costs, inst.plant,
+                          None if theta is None else RiskParams(theta))
+
+    def test_solve_dp_peak_memory(self):
+        # at tau = 1 s the full (N+1, 1681) float64 table is 27 MB at
+        # N = 2000 and the uint8 policy 3.4 MB; solve_dp keeps two rows
+        p = PlantParams(tau=1.0)
+        weather = wet_12h(dt=1.0)
+        N = 2000
+        tracemalloc.start()
+        try:
+            values, policy = solve_dp(ControllerSpec(kind="dp"), p, weather, N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        nnodes = policy.grid.nnodes
+        assert peak < (N + 1) * nnodes * 8 / 2
+        assert values.V.shape == (1, nnodes)
+
+
 def _counting(costs, time_varying):
     """``costs`` with its stage callable wrapped to record each t it is asked for."""
     calls = []
@@ -358,6 +411,18 @@ class TestPolicyEvaluation:
                           inst.plant, rm)
         W = evaluate_policy_W(policy, inst.dm, inst.costs, inst.plant, rm)
         assert np.all(W > 0.0) and np.all(np.isfinite(W))
+
+    def test_action_out_of_range_raises(self):
+        # node 0's action 2 of 2 must not read node 1's action 0
+        inst = oracle_instance()
+        rm = RiskParams(-1.0)
+        _, policy = solve(inst.N, inst.grid, inst.actions, inst.dm, inst.costs,
+                          inst.plant, rm)
+        mu = policy.mu.copy()
+        mu[0, 0] = inst.actions.size
+        bad = riskdp.PolicyTable(mu=mu, actions=policy.actions, grid=policy.grid)
+        with pytest.raises(ValueError):
+            evaluate_policy_W(bad, inst.dm, inst.costs, inst.plant, rm)
 
     def test_matches_path_enumeration(self):
         inst = oracle_instance()

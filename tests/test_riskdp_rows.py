@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _instances import oracle_instance
+from _instances import dp_spec_inputs, oracle_instance
 from stormdp import riskdp
 from stormdp.plant import PlantParams
 from stormdp.riskdp import (
@@ -25,9 +25,8 @@ from stormdp.riskdp import (
     brute_force_optimal,
     evaluate_policy_W,
     solve,
-    tracking_cost,
 )
-from stormdp.sim import ControllerSpec, wet_12h
+from stormdp.sim import wet_12h
 
 
 def full_gather_q_values(V_next, cost, theta, succ, p):
@@ -70,6 +69,18 @@ def dense_solve(N, theta, tables):
     for t in range(N - 1, -1, -1):
         V[t], mu[t] = dense_backup(V[t + 1], tables.stage_cost(t), theta, tables)
     return V, mu
+
+
+def dense_policy_values(policy_mu, theta, tables, stage_cost):
+    """Entropic values of a fixed policy by the full-gather Q over every
+    (node, action), read at the policy's action of each node."""
+    N = policy_mu.shape[0]
+    nodes = np.arange(tables.grid.nnodes)
+    V = np.empty((N + 1, tables.grid.nnodes))
+    V[N] = tables.terminal_cost()
+    for t in range(N - 1, -1, -1):
+        V[t] = _full_gather(V[t + 1], stage_cost(t), theta, tables)[nodes, policy_mu[t]]
+    return V
 
 
 def undominated(row_of, cost):
@@ -195,9 +206,10 @@ class TestFullGatherBits:
 
     @staticmethod
     def _both(monkeypatch, run):
-        """``run()`` with the distinct-row kernel, then with the full-gather one."""
+        """``run()`` as the code runs it, then with policy evaluation by
+        the full-gather Q over every (node, action)."""
         ours = run()
-        monkeypatch.setattr(riskdp, "_q_values", _full_gather)
+        monkeypatch.setattr(riskdp, "_policy_values", dense_policy_values)
         return ours, run()
 
     @pytest.mark.parametrize("theta", [None, -1.5, -1000.0])
@@ -234,6 +246,19 @@ class TestFullGatherBits:
             policy, inst.dm, inst.costs, inst.plant, rm))
         assert np.array_equal(ours, ref)
 
+    @pytest.mark.parametrize("time_varying", [False, True])
+    def test_evaluate_policy_W_fast_instance(self, monkeypatch, time_varying):
+        # 40 stages on the --fast tables, whose fixed cost is one array
+        # and whose time-varying cost is evaluated per stage
+        p = PlantParams(tau=60.0)
+        weather = wet_12h(dt=60.0)
+        grid, actions, dm, costs = dp_spec_inputs(p, weather.w_r[:720], weather.w_e[:720])
+        costs = CostSpec(costs.stage, costs.terminal, time_varying)
+        rm = RiskParams(-0.1)
+        _, policy = solve(40, grid, actions, dm, costs, p, rm)
+        ours, ref = self._both(monkeypatch, lambda: evaluate_policy_W(policy, dm, costs, p, rm))
+        assert np.array_equal(ours, ref)
+
     @pytest.mark.parametrize("theta", [-1.5, -1000.0])
     def test_brute_force_optimal(self, monkeypatch, theta):
         inst = oracle_instance()
@@ -247,11 +272,7 @@ class TestFullGatherBits:
 def _plant_tables(p, w_r, w_e):
     """The tables ``solve_dp`` builds for the default DP spec on the
     weather series (w_r, w_e)."""
-    spec = ControllerSpec(kind="dp")
-    dm = DisturbanceModel.from_series(w_r, w_e, n_atoms=spec.n_atoms)
-    return riskdp._Tables.from_plant(Grid.uniform(*spec.grid_shape, p),
-                                     np.linspace(0.0, 1.0, spec.n_actions), dm,
-                                     tracking_cost(p, lam=spec.lam), p)
+    return riskdp._Tables.from_plant(*dp_spec_inputs(p, w_r, w_e), p)
 
 
 class TestNonFiniteGuard:
