@@ -63,6 +63,13 @@ def _add_common(parser):
                         help="simulation horizon in steps")
 
 
+def _add_control_period(parser):
+    parser.add_argument("--control-period", type=float, default=None,
+                        help="seconds each control is held, a whole multiple of tau "
+                             "(default: 60 s, rounded down to whole plant steps, "
+                             "at least one)")
+
+
 def _spec_flag(parser, flag: str, name: str, help: str, type=float):
     """A flag stored into the ControllerSpec field ``name``, defaulting to it."""
     parser.add_argument(flag, dest=name, type=type, default=getattr(ControllerSpec, name),
@@ -90,7 +97,8 @@ def cmd_simulate(args) -> int:
     if args.start not in starts:
         raise ValueError(f"unknown start {args.start!r}; choose from {sorted(starts)}")
     sc = sim.Scenario(name=args.start, x0=starts[args.start], N=n,
-                      controller=_controller_spec(args), weather=weather, plant=p)
+                      controller=_controller_spec(args), weather=weather, plant=p,
+                      control_period=args.control_period)
     trace = sim.run_scenario(sc)
     if args.out == "-":
         dev = sim.cumulative_deviation(trace, p)
@@ -123,7 +131,8 @@ def cmd_compare(args) -> int:
     controllers += [_controller_spec(args, kind="onoff", v=v) for v in args.onoff_v]
     if args.with_dp:
         controllers.append(_controller_spec(args, kind="dp"))
-    rows = sim.compare(sim.standard_initial_states(p), controllers, weather, n, p)
+    rows = sim.compare(sim.standard_initial_states(p), controllers, weather, n, p,
+                       args.control_period)
     timing = args.timing_out
     if args.out != "-" and timing is None:
         timing = args.out + ".timing"
@@ -138,8 +147,10 @@ def cmd_lint(args) -> int:
 
     The weather is loaded as ``simulate`` loads it (resampled to the
     plant step, honouring ``--config`` and ``--fast``) and must cover the
-    horizon, so lint accepts a file exactly when ``simulate`` would. A
-    horizon below 1 is reported against ``-N``, not against a file.
+    horizon, and ``--control-period`` must be whole steps of the loaded
+    plant, so lint accepts a file exactly when ``simulate`` would. A
+    horizon below 1 is reported against ``-N``, not against a file, and
+    a bad period against ``--control-period``.
     """
     problems = []
     if args.config is None and args.weather is None:
@@ -155,6 +166,10 @@ def cmd_lint(args) -> int:
     else:
         if args.config is not None:
             print(f"config ok: {args.config}")
+        try:
+            sim.hold_steps(p.tau, args.control_period)
+        except ValueError as exc:
+            problems.append(f"--control-period: {exc}")
     if args.weather is not None and p is None:
         problems.append("weather: not checked, the plant config did not load")
     elif args.weather is not None:
@@ -187,6 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dp_flags(p_sim)
     _add_mpc_flags(p_sim)
     _spec_flag(p_sim, "--v", "v", "on/off pump rate")
+    _add_control_period(p_sim)
     p_sim.add_argument("--start", default="low-low",
                        choices=["low-low", "high-low", "high-high"])
     p_sim.set_defaults(func=cmd_simulate)
@@ -205,6 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mpc_flags(p_cmp)
     p_cmp.add_argument("--onoff-v", type=float, nargs="+",
                        default=[0.2, 0.5, 1.0, 1.5, 2.0])
+    _add_control_period(p_cmp)
     p_cmp.add_argument("--with-dp", action="store_true",
                        help="include the tabulated DP controller")
     p_cmp.add_argument("--timing-out", default=None,
@@ -215,6 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lint = sub.add_parser("lint", help="validate config and weather files")
     _add_common(p_lint)
+    _add_control_period(p_lint)
     p_lint.set_defaults(func=cmd_lint)
     return parser
 

@@ -5,7 +5,8 @@ its trailing disturbance window from the weather series."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -25,36 +26,48 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MpcConfig:
+    """MPC settings. A stage of the horizon is ``hold`` plant steps, the
+    closed loop's control period: the model steps ``hold * tau``."""
+
     plant: PlantParams
     horizon: int = 10
     lam: float = 1e-3
     eps: float = 0.5
+    hold: int = 1
+
+    def __post_init__(self):
+        if not (isinstance(self.hold, numbers.Integral) and self.hold >= 1):
+            raise ValueError(f"hold must be a whole number of plant steps, got {self.hold!r}")
 
     @cached_property
     def smooth(self) -> SmoothParams:
-        """The smooth surrogate, built once per config."""
-        return SmoothParams(plant=self.plant, eps=self.eps)
+        """The smooth surrogate over one stage, built once per config."""
+        return SmoothParams(plant=replace(self.plant, tau=self.plant.tau * self.hold),
+                            eps=self.eps)
 
 
 def mpc_step(t: int, x1, x2, u_prev, weather, cfg: MpcConfig):
     """One receding-horizon step, elementwise on state arrays.
 
+    A stage of the M-stage horizon is k = ``cfg.hold`` plant steps.
     Linearizes at the measured state, the previous control ``u_prev``
-    and the mean disturbance of the last min(t, M) weather rows (none at
-    t = 0), condenses the forecast rows t..t+M-1 of ``weather`` (a
-    ``sim.WeatherSeries``), solves the QP, and returns the first
-    (clamped) control. States of shape (m,), with ``u_prev`` of the same
-    shape, give m controls, each the bits of that state's scalar call;
-    all of them share the one weather series.
+    and the mean disturbance of the last min(t, M k) weather rows (none
+    at t = 0), condenses the forecast rows t..t+Mk-1 of ``weather`` (a
+    ``sim.WeatherSeries``) as M stages, each the mean of its k rows,
+    solves the QP, and returns the first (clamped) control. At k = 1
+    every mean is of one row and keeps its bits. States of shape (m,),
+    with ``u_prev`` of the same shape, give m controls, each the bits of
+    that state's scalar call; all of them share the one weather series.
     """
-    k = min(t, cfg.horizon)
-    # the (k, 2) window's column means, rounded as one stacked reduction
-    w_bar = weather.forecast(t - k, k).mean(axis=0) if k > 0 else np.zeros(2)
+    rows = cfg.horizon * cfg.hold
+    n = min(t, rows)
+    # the (n, 2) window's column means, rounded as one stacked reduction
+    w_bar = weather.forecast(t - n, n).mean(axis=0) if n > 0 else np.zeros(2)
     op = OperatingPoint(x1=x1, x2=x2, u=u_prev, w_r=w_bar[0], w_e=w_bar[1])
     lm = linearize_at(op, cfg.smooth)
     y0 = np.zeros(2)  # linearized at the measured state
-    w_dev = weather.forecast(t, cfg.horizon) - w_bar
-    ch = condense(lm, cfg.horizon, y0, w_dev, cfg.lam, cfg.plant)
+    stages = weather.forecast(t, rows).reshape(-1, cfg.hold, 2).mean(axis=1)
+    ch = condense(lm, cfg.horizon, y0, stages - w_bar, cfg.lam, cfg.plant)
     return solve_mpc_qp(ch).u[..., 0][()]   # [()] makes a scalar state's control a scalar
 
 

@@ -32,6 +32,8 @@ __all__ = [
     "synth_storm",
     "wet_12h",
     "standard_initial_states",
+    "DEFAULT_CONTROL_PERIOD",
+    "hold_steps",
     "make_controller",
     "solve_dp",
     "run_scenario",
@@ -42,12 +44,17 @@ __all__ = [
 ]
 
 WEATHER_HEADER = ["t_s", "w_r_mps", "w_e_m3ps"]
+DEFAULT_CONTROL_PERIOD = 60.0   # s
 
 
 @dataclass(frozen=True)
 class WeatherSeries:
     """Uniformly sampled precipitation (m/s) and evapotranspiration (m^3/s).
-    The columns are not to be written: ``forecast`` reads a stacked copy."""
+
+    ``__post_init__`` stacks the rate columns into read-only (n, 2) rows,
+    and the model reads those alone: ``forecast``, the closed loop's
+    plant step and trace, and ``solve_dp``'s atoms. Writing ``w_r`` or
+    ``w_e`` after construction therefore changes no run."""
 
     t: np.ndarray
     w_r: np.ndarray
@@ -96,8 +103,8 @@ class WeatherSeries:
         n = int(round((self.t[-1] - self.t[0]) / dt)) + 1
         tq = self.t[0] + dt * np.arange(n)
         return WeatherSeries(t=tq,
-                             w_r=np.interp(tq, self.t, self.w_r),
-                             w_e=np.interp(tq, self.t, self.w_e))
+                             w_r=np.interp(tq, self.t, self._rows[:, 0]),
+                             w_e=np.interp(tq, self.t, self._rows[:, 1]))
 
 
 def load_weather_csv(path, tau: float | None = None) -> WeatherSeries:
@@ -165,6 +172,28 @@ def wet_12h(dt: float = 60.0) -> WeatherSeries:
     return synth_storm(pulses, duration=12 * 3600.0, dt=dt)
 
 
+def hold_steps(tau: float, control_period: float | None = None) -> int:
+    """The number k of plant steps the closed loop holds each control for.
+
+    An explicit ``control_period`` (s) must be a positive whole multiple
+    of ``tau``. Without one the period is DEFAULT_CONTROL_PERIOD rounded
+    down to whole plant steps, and at least one step: k = max(1,
+    floor(60 s / tau)), so the ``--fast`` step (tau = 60 s) decides at
+    every step and no plant step is refused."""
+    period = DEFAULT_CONTROL_PERIOD if control_period is None else control_period
+    if not (isinstance(period, numbers.Real) and math.isfinite(period) and period > 0):
+        raise ValueError(f"control period must be a positive number of seconds, "
+                         f"got {period!r}")
+    ratio = period / tau
+    k = round(ratio)
+    if abs(ratio - k) <= 1e-9 * ratio:   # whole steps, up to the rounding of period / tau
+        return max(1, k)
+    if control_period is not None:
+        raise ValueError(f"control period must be a whole multiple of tau = {tau:g} s, "
+                         f"got {period:g} s")
+    return max(1, math.floor(ratio))
+
+
 def standard_initial_states(p: PlantParams) -> dict[str, tuple[float, float]]:
     """The three catalog starts: each tank high or low relative to its
     outlet elevation / desired moisture level."""
@@ -177,7 +206,9 @@ def standard_initial_states(p: PlantParams) -> dict[str, tuple[float, float]]:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One closed-loop run: a named start, horizon, controller, weather."""
+    """One closed-loop run: a named start, horizon, controller, weather,
+    and the control period in seconds (None: the default, see
+    :func:`hold_steps`)."""
 
     name: str
     x0: tuple[float, float]
@@ -185,6 +216,7 @@ class Scenario:
     controller: "ControllerSpec"
     weather: WeatherSeries
     plant: PlantParams = field(default_factory=PlantParams)
+    control_period: float | None = None
 
     def __post_init__(self):
         p = self.plant
@@ -194,6 +226,12 @@ class Scenario:
             raise ValueError(f"horizon N must be at least 1, got {self.N}")
         if len(self.weather) < self.N + 1:
             raise ValueError("weather series shorter than the simulation horizon")
+        hold_steps(p.tau, self.control_period)   # refuses a period of no whole steps
+
+    @property
+    def hold(self) -> int:
+        """Plant steps each control is held for."""
+        return hold_steps(self.plant.tau, self.control_period)
 
 
 @dataclass(frozen=True)
@@ -235,16 +273,18 @@ class ControllerSpec:
 
 
 def make_controller(spec: ControllerSpec, p: PlantParams, weather: WeatherSeries,
-                    N: int) -> Callable[[int, float, float, float], float]:
+                    N: int, hold: int = 1) -> Callable[[int, float, float, float], float]:
     """Build a step callable (t, x1, x2, u_prev) -> u, elementwise on
     state arrays. It keeps no state between calls, so one controller can
     drive any number of runs, and several starts as the columns of one
-    closed loop."""
+    closed loop. ``hold`` is the loop's plant steps per decision: the
+    MPC models each stage of its horizon as that many steps."""
     if spec.kind == "onoff":
         return lambda t, x1, x2, u_prev: ctl.onoff_step(x1, x2, spec.v, p)
 
     if spec.kind == "mpc":
-        cfg = ctl.MpcConfig(plant=p, horizon=spec.horizon, lam=spec.lam, eps=spec.eps)
+        cfg = ctl.MpcConfig(plant=p, horizon=spec.horizon, lam=spec.lam, eps=spec.eps,
+                            hold=hold)
         return lambda t, x1, x2, u_prev: ctl.mpc_step(t, x1, x2, u_prev, weather, cfg)
 
     if spec.kind == "dp":
@@ -265,8 +305,8 @@ def solve_dp(spec: ControllerSpec, p: PlantParams, weather: WeatherSeries,
         raise ValueError(f"weather series has {len(weather)} samples, fewer than N = {N}")
     grid = riskdp.Grid.uniform(*spec.grid_shape, p)
     actions = np.linspace(0.0, 1.0, spec.n_actions)
-    dm = riskdp.DisturbanceModel.from_series(weather.w_r[:N], weather.w_e[:N],
-                                             n_atoms=spec.n_atoms)
+    w_r, w_e = weather.forecast(0, N).T
+    dm = riskdp.DisturbanceModel.from_series(w_r, w_e, n_atoms=spec.n_atoms)
     costs = riskdp.tracking_cost(p, lam=spec.lam)
     return riskdp.solve(N, grid, actions, dm, costs, p, riskdp.RiskParams(spec.theta),
                         keep_values=False)
@@ -292,26 +332,30 @@ class Trace:
 
 
 def run_scenario(sc: Scenario, step_fn=None) -> Trace:
-    """Closed loop: controller -> clamp -> exact non-smooth plant step.
+    """Closed loop: controller -> clamp -> hold -> exact non-smooth plant step.
 
-    ``step_fn`` is a controller already built for ``sc.controller``;
-    without one, ``make_controller`` builds it. At step t the loop calls
-    ``step_fn(t, x1, x2, u_prev)``, where ``u_prev`` is the control it
-    applied at step t - 1 (zeros of the state's shape at t = 0): the loop
-    holds all the state of a run. Deterministic given its inputs. A
-    controller or model error propagates with its own type and carries
-    the failing step index as its ``step`` attribute.
+    ``step_fn`` is a controller already built for ``sc.controller`` and
+    ``sc.hold``; without one, ``make_controller`` builds it. The loop
+    decides every k = ``sc.hold`` plant steps: at a step t with t % k == 0
+    it calls ``step_fn(t, x1, x2, u_prev)``, where ``u_prev`` is the
+    control it applied at step t - 1 (zeros of the state's shape at
+    t = 0), and at every other step it applies ``u_prev`` again without
+    calling the controller. The loop holds all the state of a run.
+    Deterministic given its inputs. A controller or model error
+    propagates with its own type and carries the failing step index as
+    its ``step`` attribute.
     """
     if step_fn is None:
-        step_fn = make_controller(sc.controller, sc.plant, sc.weather, sc.N)
-    return _closed_loop(sc.x0, sc.N, step_fn, sc.weather, sc.plant)
+        step_fn = make_controller(sc.controller, sc.plant, sc.weather, sc.N, sc.hold)
+    return _closed_loop(sc.x0, sc.N, step_fn, sc.weather, sc.plant, sc.hold)
 
 
-def _closed_loop(x0, n: int, step_fn, weather: WeatherSeries, p: PlantParams) -> Trace:
-    """The loop body of :func:`run_scenario`. ``x0`` is one start, two
-    floats, or m starts, two arrays of shape (m,); the states then have
-    shape (n+1,) or (n+1, m) and ``step_fn`` maps state and control rows
-    to controls."""
+def _closed_loop(x0, n: int, step_fn, weather: WeatherSeries, p: PlantParams,
+                 hold: int = 1) -> Trace:
+    """The loop body of :func:`run_scenario`, deciding every ``hold``
+    steps. ``x0`` is one start, two floats, or m starts, two arrays of
+    shape (m,); the states then have shape (n+1,) or (n+1, m) and
+    ``step_fn`` maps state and control rows to controls."""
     cells = np.shape(x0[0])
     x1 = np.empty((n + 1, *cells))
     x2 = np.empty((n + 1, *cells))
@@ -320,19 +364,21 @@ def _closed_loop(x0, n: int, step_fn, weather: WeatherSeries, p: PlantParams) ->
     clamp1 = np.empty((n, *cells))
     clamp2 = np.empty((n, *cells))
     x1[0], x2[0] = x0
+    w_r, w_e = weather.forecast(0, n).T   # views of the series' stacked rows
     u_prev = np.zeros(cells)
     for t in range(n):
         try:
-            u[t] = np.clip(step_fn(t, x1[t], x2[t], u_prev), 0.0, 1.0)
+            if t % hold == 0:
+                u_prev = np.clip(step_fn(t, x1[t], x2[t], u_prev), 0.0, 1.0)
+            u[t] = u_prev
             x1[t + 1], x2[t + 1], clamp1[t], clamp2[t] = plant_mod.step(
-                x1[t], x2[t], u[t], weather.w_r[t], weather.w_e[t], p)
+                x1[t], x2[t], u[t], w_r[t], w_e[t], p)
         except Exception as exc:
             exc.step = t
             raise
-        u_prev = u[t]
         cost[t] = riskdp.tracking_error(x2[t], p)
     return Trace(t=p.tau * np.arange(n + 1), x1=x1, x2=x2, u=u,
-                 w_r=weather.w_r[:n].copy(), w_e=weather.w_e[:n].copy(),
+                 w_r=w_r.copy(), w_e=w_e.copy(),
                  cost=cost, clamp1=clamp1, clamp2=clamp2)
 
 
@@ -394,11 +440,15 @@ class ComparisonRow:
 
 def compare(initial_states: dict[str, tuple[float, float]],
             controllers: list[ControllerSpec], weather: WeatherSeries,
-            N: int, p: PlantParams) -> list[ComparisonRow]:
-    """Run every (start, controller) cell over the shared weather/horizon.
+            N: int, p: PlantParams,
+            control_period: float | None = None) -> list[ComparisonRow]:
+    """Run every (start, controller) cell over the shared weather, horizon
+    and control period (see :func:`hold_steps`; a bad period raises
+    before any cell runs).
 
-    Every cell runs as a column of one closed loop: each spec's controller
-    is built once and drives all starts as its columns, so each ``dp``
+    Every cell runs as a column of one closed loop, which holds every
+    column's control over the same period: each spec's controller is
+    built once and drives all starts as its columns, so each ``dp``
     spec's policy is solved once and each ``mpc`` spec condenses and
     solves its starts' QPs as one batch. A column has the bits of its
     cell run alone. The rows' ``runtime_s`` is the batch's wall time split
@@ -407,6 +457,7 @@ def compare(initial_states: dict[str, tuple[float, float]],
     time on the controllers already built, which keep no state, so each
     row keeps its own status.
     """
+    hold = hold_steps(p.tau, control_period)
     rows = {}
     step_fns = {}
     groups = []   # per spec: its slice of columns and its controller
@@ -414,8 +465,9 @@ def compare(initial_states: dict[str, tuple[float, float]],
     start = time.perf_counter()
     for i, spec in enumerate(controllers):
         try:
-            step_fns[i] = make_controller(spec, p, weather, N)
-            scs = [Scenario(name=name, x0=x0, N=N, controller=spec, weather=weather, plant=p)
+            step_fns[i] = make_controller(spec, p, weather, N, hold)
+            scs = [Scenario(name=name, x0=x0, N=N, controller=spec, weather=weather, plant=p,
+                            control_period=control_period)
                    for name, x0 in initial_states.items()]
         except Exception:
             continue   # its cells run one at a time below and report the error
@@ -428,7 +480,7 @@ def compare(initial_states: dict[str, tuple[float, float]],
     if cells:
         try:
             trace = _closed_loop(tuple(np.array([sc.x0 for sc, _ in cells]).T), N,
-                                 step_fn, weather, p)
+                                 step_fn, weather, p, hold)
         except Exception:
             pass   # each cell runs again alone below and reports its own failure
         else:
@@ -439,16 +491,18 @@ def compare(initial_states: dict[str, tuple[float, float]],
     for name, x0 in initial_states.items():
         for i, spec in enumerate(controllers):
             if (name, i) not in rows:
-                rows[name, i] = _run_cell(name, x0, spec, weather, N, p, step_fns.get(i))
+                rows[name, i] = _run_cell(name, x0, spec, weather, N, p, control_period,
+                                          step_fns.get(i))
     return [rows[name, i] for name in initial_states for i in range(len(controllers))]
 
 
-def _run_cell(name, x0, spec, weather, N, p, step_fn=None) -> ComparisonRow:
+def _run_cell(name, x0, spec, weather, N, p, control_period, step_fn=None) -> ComparisonRow:
     """One comparison cell run alone; a failure becomes its status."""
     start = time.perf_counter()
     try:
         trace = run_scenario(Scenario(name=name, x0=x0, N=N, controller=spec,
-                                      weather=weather, plant=p), step_fn)
+                                      weather=weather, plant=p,
+                                      control_period=control_period), step_fn)
     except Exception as exc:
         return ComparisonRow(scenario=name, controller=spec.kind, params=spec.label,
                              cumulative_deviation=math.nan, sum_u_sq=math.nan,

@@ -277,14 +277,31 @@ class TestLint:
     (["-N", "601"], False),
     (["--fast", "-N", "10"], True),
     (["--fast", "-N", "11"], False),
-], ids=["N600", "N601", "fast-N10", "fast-N11"])
+    (["-N", "600", "--control-period", "1"], True),
+    (["-N", "600", "--control-period", "120"], True),
+    (["--fast", "-N", "10", "--control-period", "180"], True),
+    (["-N", "600", "--control-period", "0"], False),
+    (["-N", "600", "--control-period=-60"], False),
+    (["-N", "600", "--control-period", "nan"], False),
+    (["-N", "600", "--control-period", "1.5"], False),
+    (["--fast", "-N", "10", "--control-period", "30"], False),
+], ids=["N600", "N601", "fast-N10", "fast-N11", "period1", "period120", "fast-period180",
+        "period0", "period-60", "period-nan", "period1.5", "fast-period30"])
 def test_lint_agrees_with_simulate(tmp_path, capsys, argv, ok):
     # a 10-minute file, 60 s apart: 601 samples at tau = 1 s, 11 at --fast
     w = tmp_path / "w.csv"
     w.write_text("t_s,w_r_mps,w_e_m3ps\n"
                  + "".join(f"{60 * i},1e-6,4e-5\n" for i in range(11)))
     common = ["--weather", str(w), *argv]
-    lint, _, _ = run(["lint", *common], capsys)
+    lint, _, lint_err = run(["lint", *common], capsys)
     onoff, _, _ = run(["simulate", "--controller", "onoff", *common], capsys)
-    mpc, _, _ = run(["simulate", "--controller", "mpc", *common], capsys)
+    mpc, _, mpc_err = run(["simulate", "--controller", "mpc", *common], capsys)
     assert (lint == 0) == (onoff == 0) == (mpc == 0) == ok
+    if not ok and any(a.startswith("--control-period") for a in argv):
+        # the weather covers the horizon: the period alone is refused
+        assert (lint, mpc) == (1, 2)
+        assert lint_err.splitlines() == [
+            f"error: --control-period: {mpc_err.removeprefix('error: ValueError: ').strip()}"]
+        assert mpc_err.startswith("error: ValueError: control period must be ")
+        code, out, err = run(["compare", "--onoff-v", "0.5", *common], capsys)
+        assert (code, out, err) == (2, "", mpc_err)

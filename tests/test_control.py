@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from _instances import oracle_instance
 from stormdp import control
 from stormdp.control import MpcConfig, dp_step, mpc_step, onoff_step
-from stormdp.linearize import linearize_at
+from stormdp.linearize import condense, linearize_at
 from stormdp.plant import PlantParams, f_rhs, q_pump
 from stormdp.riskdp import Grid, RiskParams, evaluate_policy_W, solve, tracking_cost
 from stormdp.sim import (
@@ -108,6 +108,46 @@ class TestMpc:
             assert ops[t].u == trace.u[t - 1]
             rows = np.column_stack([w.w_r, w.w_e])[t - min(t, M):t]
             assert (ops[t].w_r, ops[t].w_e) == tuple(rows.mean(axis=0))
+
+    def test_held_stages(self, monkeypatch):
+        # k = 3 plant steps per stage: the model steps 3 tau, the operating
+        # point's weather is the stacked mean of the last min(t, M k) rows,
+        # and each stage's forecast is the mean of its k rows
+        p = PlantParams(tau=60.0)
+        calls = []   # (operating point, smooth params, w_dev) per decision
+
+        def spy_linearize(op, sp):
+            calls.append([op, sp])
+            return linearize_at(op, sp)
+
+        def spy_condense(lm, M, y0, w_dev, *args):
+            calls[-1].append(w_dev)
+            return condense(lm, M, y0, w_dev, *args)
+
+        monkeypatch.setattr(control, "linearize_at", spy_linearize)
+        monkeypatch.setattr(control, "condense", spy_condense)
+        rng = np.random.default_rng(7)
+        n, M, k = 45, 4, 3
+        w = WeatherSeries(t=p.tau * np.arange(n + 1), w_r=rng.uniform(0, 2e-6, n + 1),
+                          w_e=rng.uniform(0, 5e-5, n + 1))
+        rows = np.column_stack([w.w_r, w.w_e])
+        held = rows[np.minimum(np.arange(n + M * k), n)]   # the last sample held
+        trace = run_scenario(Scenario(name="high-low", x0=standard_initial_states(p)["high-low"],
+                                      N=n, controller=ControllerSpec(kind="mpc", horizon=M),
+                                      weather=w, plant=p, control_period=k * p.tau))
+        assert len(calls) == n // k and np.any(trace.u > 0)
+        for (op, sp, w_dev), t in zip(calls, range(0, n, k)):
+            assert sp.plant.tau == k * p.tau
+            assert op.u == (trace.u[t - 1] if t else 0.0)
+            w_bar = rows[t - min(t, M * k):t].mean(axis=0) if t else np.zeros(2)
+            assert (op.w_r, op.w_e) == tuple(w_bar)
+            stages = np.array([held[t + j * k:t + (j + 1) * k].mean(axis=0) for j in range(M)])
+            assert w_dev.tobytes() == (stages - w_bar).tobytes()
+
+    def test_hold_must_be_whole_steps(self):
+        for hold in (0, -1, 1.5):
+            with pytest.raises(ValueError, match="hold must be a whole number"):
+                MpcConfig(plant=P, hold=hold)
 
     def test_deterministic(self):
         cfg = MpcConfig(plant=P, horizon=4)

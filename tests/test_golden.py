@@ -1,7 +1,8 @@
 """Golden-output regression: ``compare --fast --with-dp``, ``dp solve``
-at ``--fast`` and at the default tau = 1 s, and two ``simulate`` traces,
-which run the per-step plant path, must reproduce the CSVs kept in
-``tests/data``.
+at ``--fast`` and at the default tau = 1 s, and three ``simulate``
+traces, which run the plant step by step (the MPC at tau = 1 s both
+deciding every step and holding each control for the default 60 s),
+must reproduce the CSVs kept in ``tests/data``.
 
 Text columns, the policy column ``mu0`` and empty cells (a trace's last
 row has no per-step values) must match exactly; numeric columns must
@@ -16,7 +17,9 @@ outputs regenerates the files from the repository root:
     PYTHONPATH=src python -m stormdp.cli dp solve -N 180 \\
         --out tests/data/dp_solve_1s.csv
     PYTHONPATH=src python -m stormdp.cli simulate --controller mpc -N 300 \\
-        --start high-low --out tests/data/simulate_mpc_high_low.csv
+        --start high-low --control-period 1 --out tests/data/simulate_mpc_high_low.csv
+    PYTHONPATH=src python -m stormdp.cli simulate --controller mpc -N 300 \\
+        --start high-low --out tests/data/simulate_mpc_held_high_low.csv
     PYTHONPATH=src python -m stormdp.cli simulate --fast --controller onoff \\
         --start low-low -N 240 --out tests/data/simulate_fast_onoff_low_low.csv
 """
@@ -41,12 +44,14 @@ def _read(path):
     (["compare", "--fast", "--with-dp"], "compare_fast_with_dp.csv"),
     (["dp", "solve", "--fast"], "dp_solve_fast.csv"),
     (["dp", "solve", "-N", "180"], "dp_solve_1s.csv"),
+    (["simulate", "--controller", "mpc", "-N", "300", "--start", "high-low",
+      "--control-period", "1"], "simulate_mpc_high_low.csv"),
     (["simulate", "--controller", "mpc", "-N", "300", "--start", "high-low"],
-     "simulate_mpc_high_low.csv"),
+     "simulate_mpc_held_high_low.csv"),
     (["simulate", "--fast", "--controller", "onoff", "--start", "low-low", "-N", "240"],
      "simulate_fast_onoff_low_low.csv"),
 ], ids=["compare-fast-with-dp", "dp-solve-fast", "dp-solve-1s", "simulate-mpc-1s",
-        "simulate-fast-onoff"])
+        "simulate-mpc-1s-held", "simulate-fast-onoff"])
 def test_matches_golden_csv(tmp_path, capsys, argv, golden):
     out = tmp_path / golden
     assert main([*argv, "--out", str(out)]) == 0

@@ -16,10 +16,12 @@ from stormdp.sim import (
     WeatherSeries,
     compare,
     cumulative_deviation,
+    hold_steps,
     load_weather_csv,
     make_controller,
     read_trace_csv,
     run_scenario,
+    solve_dp,
     standard_initial_states,
     synth_storm,
     wet_12h,
@@ -41,16 +43,17 @@ EDGE_X1 = [P.pump_gate_volume] + _midpoints(np.linspace(0.0, P.cap1, 9))
 EDGE_X2 = [P.x2_target] + _midpoints(np.linspace(0.0, P.cap2, 9))
 
 
-def _alone(name, x0, spec, weather, N, step_fn=None):
+def _alone(name, x0, spec, weather, N, step_fn=None, p=P, control_period=None):
     """(cumulative deviation, sum of u^2) of one cell run on its own."""
     trace = run_scenario(Scenario(name=name, x0=x0, N=N, controller=spec,
-                                  weather=weather, plant=P), step_fn)
-    return cumulative_deviation(trace, P), float((trace.u ** 2).sum())
+                                  weather=weather, plant=p,
+                                  control_period=control_period), step_fn)
+    return cumulative_deviation(trace, p), float((trace.u ** 2).sum())
 
 
-def _assert_rows_match_single_cells(starts, specs, weather, N):
-    rows = compare(starts, specs, weather, N, P)
-    step_fns = {i: make_controller(spec, P, weather, N)
+def _assert_rows_match_single_cells(starts, specs, weather, N, p=P, control_period=None):
+    rows = compare(starts, specs, weather, N, p, control_period)
+    step_fns = {i: make_controller(spec, p, weather, N)
                 for i, spec in enumerate(specs) if spec.kind == "dp"}
     cells = [(name, x0, i) for name, x0 in starts.items() for i in range(len(specs))]
     assert len(rows) == len(cells)
@@ -59,7 +62,7 @@ def _assert_rows_match_single_cells(starts, specs, weather, N):
     for row, (name, x0, i) in zip(rows, cells):
         assert (row.scenario, row.params, row.status) == (name, specs[i].label, "ok")
         assert (row.cumulative_deviation, row.sum_u_sq) == _alone(
-            name, x0, specs[i], weather, N, step_fns.get(i))
+            name, x0, specs[i], weather, N, step_fns.get(i), p, control_period)
 
 
 class TestWeatherSeries:
@@ -102,6 +105,25 @@ class TestWeatherSeries:
         s.forecast(1, 4)[:] = -1.0   # runs past the end: a fresh array
         assert np.array_equal(s.forecast(0, 3), [[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]])
         assert s.forecast(1, 0).shape == (0, 2)
+
+    def test_written_column_changes_no_run(self):
+        # the plant, the trace, the MPC and the DP's atoms all read the
+        # rows stacked at construction, never the columns
+        rng = np.random.default_rng(3)
+        n = 40
+        w = WeatherSeries(t=P.tau * np.arange(n + 1), w_r=rng.uniform(0, 2e-6, n + 1),
+                          w_e=rng.uniform(0, 5e-5, n + 1))
+        sc = Scenario(name="low-low", x0=standard_initial_states(P)["low-low"], N=n,
+                      controller=ControllerSpec(kind="mpc"), weather=w, plant=P)
+        before = run_scenario(sc), solve_dp(DP_9, P, w, n)[0].V
+        w.w_r[:] = 1e-3   # a flood, so the DP grid's successors move
+        w.w_e[:] = 0.0
+        after = run_scenario(sc), solve_dp(DP_9, P, w, n)[0].V
+        assert np.any(before[0].u > 0)
+        for f in fields(before[0]):
+            assert (getattr(before[0], f.name).tobytes()
+                    == getattr(after[0], f.name).tobytes()), f.name
+        assert before[1].tobytes() == after[1].tobytes()
 
 
 class TestLoadWeatherCsv:
@@ -440,3 +462,64 @@ class TestControllerSpec:
         # v = 0 fails at step 0 and v > 1 clamps to 1, so both are accepted here
         assert ControllerSpec(kind="onoff", v=0.0).v == 0.0
         assert ControllerSpec(kind="onoff", v=2.0).v == 2.0
+
+
+P_1S = PlantParams()   # the CLI default step, tau = 1 s
+
+
+class TestControlPeriod:
+    @pytest.mark.parametrize("tau, period, k", [
+        (1.0, None, 60), (60.0, None, 1), (7.0, None, 8), (120.0, None, 1),
+        (0.1, None, 600), (1.0, 1.0, 1), (1.0, 120.0, 120), (60.0, 180.0, 3),
+        (0.1, 0.3, 3),
+    ])
+    def test_hold_steps(self, tau, period, k):
+        assert hold_steps(tau, period) == k
+
+    @pytest.mark.parametrize("tau, period, match", [
+        (1.0, 0.0, "positive"), (1.0, -60.0, "positive"), (1.0, float("nan"), "positive"),
+        (1.0, float("inf"), "positive"), (1.0, 1.5, "whole multiple of tau = 1 s"),
+        (1.0, 0.5, "whole multiple"), (60.0, 30.0, "whole multiple of tau = 60 s"),
+    ])
+    def test_hold_steps_refuses(self, tau, period, match):
+        with pytest.raises(ValueError, match=rf"^control period must be .*{match}"):
+            hold_steps(tau, period)
+        with pytest.raises(ValueError, match="^control period"):
+            Scenario(name="s", x0=(50.0, 1.0), N=1, controller=ControllerSpec(kind="onoff"),
+                     weather=wet_12h(dt=tau), plant=PlantParams(tau=tau),
+                     control_period=period)
+
+    def test_loop_decides_once_per_period(self):
+        # tau = 1 s, default 60 s period: 15 decisions in 900 steps
+        calls = []
+
+        def step_fn(t, x1, x2, u_prev):
+            calls.append((t, u_prev))
+            return t / 1000.0
+
+        sc = Scenario(name="low-low", x0=standard_initial_states(P_1S)["low-low"], N=900,
+                      controller=ControllerSpec(kind="onoff"), weather=wet_12h(dt=1.0),
+                      plant=P_1S)
+        trace = run_scenario(sc, step_fn)
+        assert [t for t, _ in calls] == list(range(0, 900, 60))
+        # each decision sees the control held over the block before it
+        assert [u_prev for _, u_prev in calls] == [0.0] + [t / 1000.0 for t in range(0, 840, 60)]
+        blocks = trace.u.reshape(15, 60)
+        assert np.array_equal(blocks, np.repeat(blocks[:, :1], 60, axis=1))
+        assert np.array_equal(blocks[:, 0], np.arange(0, 900, 60) / 1000.0)
+
+    def test_batched_held_cells_equal_single_cells(self):
+        specs = [MPC, ControllerSpec(kind="onoff", v=0.5), DP_9]
+        _assert_rows_match_single_cells(standard_initial_states(P_1S), specs,
+                                        wet_12h(dt=1.0), 60, P_1S, control_period=5.0)
+
+    def test_held_mpc_beats_every_onoff_rate_at_one_second(self):
+        # criterion 10(a) carried to the CLI default step, tau = 1 s, 2 h
+        starts = {name: x0 for name, x0 in standard_initial_states(P_1S).items()
+                  if name != "high-high"}
+        specs = [MPC] + [ControllerSpec(kind="onoff", v=v) for v in (0.2, 0.5, 1.0, 1.5, 2.0)]
+        rows = compare(starts, specs, wet_12h(dt=1.0), 7200, P_1S)
+        assert [r.status for r in rows] == ["ok"] * len(rows)
+        for name in starts:
+            mpc, *onoff = [r.cumulative_deviation for r in rows if r.scenario == name]
+            assert all(mpc < d for d in onoff), (name, mpc, onoff)
