@@ -116,8 +116,8 @@ def cmd_dp_solve(args) -> int:
                                   _load_weather(args, p), _default_n(args))
     grid = policy.grid
     sim.write_csv(args.out, ["x1", "x2", "V0", "mu0"],
-                  ([repr(float(v)) for v in row] for row in zip(
-                      grid.node_x1, grid.node_x2, values.V[0], policy.actions[policy.mu[0]])))
+                  sim.float_rows(grid.node_x1, grid.node_x2, values.V[0],
+                                 policy.actions[policy.mu[0]]))
     if args.out != "-":
         print(f"value/policy table written to {args.out} (seed={args.seed})")
     return 0

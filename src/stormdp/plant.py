@@ -4,6 +4,15 @@ Tank 1 is an underground cistern fed by street runoff through an inlet;
 tank 2 is a rooftop vegetation bed irrigated by two pumps in series.
 The flow laws do plain arithmetic, elementwise, on floats, numpy scalars
 or float arrays: inputs become arrays once, where they enter the model.
+One code path serves a 0-d state and a batch without the per-call
+dispatch of ``np.where``, ``np.any`` and ``np.clip``, and keeps their
+bits on every finite state: ``q_out`` needs no select, as its root is
++0.0 at or below the outlet; ``q_pump`` and ``q_drain`` multiply a
+finite flow, +0.0 or more, by their bool gate, which gives +0.0 where
+the gate is False (a control of -0.0 gives -0.0 there); ``step`` calls
+``.clip``, the method ``np.clip`` dispatches to, so -0.0 is kept and
+no temporary is added. The range checks reduce a ufunc's bool, which
+Python floats give too, with its own ``.all()`` or ``.any()``.
 """
 
 from __future__ import annotations
@@ -133,14 +142,13 @@ class PlantParams:
 
 def q_out(x1, p: PlantParams):
     """Gravity-driven outlet flow from tank 1 (m^3/s)."""
-    head = x1 / p.a1 - p.z_o
-    return np.where(head > 0.0, p.c_out * np.sqrt(np.maximum(head, 0.0)), 0.0)
+    return p.c_out * np.sqrt(np.maximum(x1 / p.a1 - p.z_o, 0.0))
 
 
 def q_pump_max(x1, p: PlantParams):
     """Maximum aggregate pump flow (m^3/s): pump curve meets head loss."""
     radicand = x1 / p.a1 + p.c_hat - p.d
-    if np.any(radicand <= 0.0):
+    if np.less_equal(radicand, 0.0).any():
         raise ValueError("pump-curve radicand not positive; invalid parameters")
     return p.b * np.sqrt(radicand)
 
@@ -155,15 +163,15 @@ def pump_gate(x1, x2, p: PlantParams):
 def q_pump(x1, x2, u, p: PlantParams):
     """Pump flow (m^3/s): a fraction u of the maximum where
     :func:`pump_gate` is open, else zero."""
-    if np.any((u < 0.0) | (u > 1.0)):
+    if not np.logical_and(u >= 0.0, u <= 1.0).all():   # refuses NaN too
         raise ValueError("control fraction u must lie in [0, 1]")
-    return np.where(pump_gate(x1, x2, p), u * q_pump_max(x1, p), 0.0)
+    return u * q_pump_max(x1, p) * pump_gate(x1, x2, p)
 
 
 def q_drain(x2, p: PlantParams):
     """Darcy drainage from the soil once it reaches capacity (m^3/s)."""
     rate = p.K * p.a2 * (x2 / p.a2 + p.z_soil) / p.z_soil
-    return np.where(x2 < p.z_cap, 0.0, rate)
+    return rate * (x2 >= p.z_cap)
 
 
 def mass_balance(q_o, q_p, q_d, w_r, w_e, p: PlantParams):
@@ -187,6 +195,6 @@ def step(x1, x2, u, w_r, w_e, p: PlantParams):
     f1, f2 = f_rhs(x1, x2, u, w_r, w_e, p)
     x1e = x1 + p.tau * f1
     x2e = x2 + p.tau * f2
-    x1n = np.clip(x1e, 0.0, p.cap1)
-    x2n = np.clip(x2e, 0.0, p.cap2)
+    x1n = x1e.clip(0.0, p.cap1)
+    x2n = x2e.clip(0.0, p.cap2)
     return x1n, x2n, x1n - x1e, x2n - x2e

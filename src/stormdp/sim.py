@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import math
 import numbers
 import sys
@@ -26,6 +27,7 @@ __all__ = [
     "ComparisonRow",
     "Trace",
     "write_csv",
+    "float_rows",
     "write_trace_csv",
     "read_trace_csv",
     "load_weather_csv",
@@ -407,12 +409,18 @@ def write_csv(path, header, rows) -> None:
         w.writerows(rows)
 
 
+def float_rows(*columns):
+    """Rows of ``repr(float(v))`` cells from 1-d numeric columns, formatted
+    column by column as the rows are read; past the end of a shorter
+    column a cell is empty."""
+    return itertools.zip_longest(*(map(repr, map(float, c)) for c in columns),
+                                 fillvalue="")
+
+
 def write_trace_csv(trace: Trace, path) -> None:
     """One row per state; the last row leaves the per-step columns empty."""
     names = [f.name for f in fields(Trace)]
-    cols = [getattr(trace, name) for name in names]
-    write_csv(path, names, ([_fmt(c[i]) if i < c.size else "" for c in cols]
-                            for i in range(trace.t.size)))
+    write_csv(path, names, float_rows(*(getattr(trace, name) for name in names)))
 
 
 def read_trace_csv(path) -> Trace:

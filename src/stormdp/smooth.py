@@ -111,7 +111,7 @@ def _outlet(x1, sp: SmoothParams):
 
 def _pump(x1, x2, u, sp: SmoothParams):
     """Smooth pump flow and its partials in x1, x2 and u."""
-    if np.any((u < 0.0) | (u > 1.0)):
+    if not np.logical_and(u >= 0.0, u <= 1.0).all():   # refuses NaN too
         raise ValueError("control fraction u must lie in [0, 1]")
     p = sp.plant
     psi, dpsi = _sqrt_and_slope(x1 / p.a1 + p.c_hat - p.d, sp.eps)

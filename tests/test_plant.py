@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from stormdp.plant import (
     PlantParams,
     f_rhs,
+    mass_balance,
+    pump_gate,
     q_drain,
     q_out,
     q_pump,
@@ -122,6 +124,17 @@ class TestFlows:
             q_pump(100.0, 0.0, 1.5, P)
         with pytest.raises(ValueError):
             q_pump(100.0, 0.0, -0.1, P)
+
+    @pytest.mark.parametrize("u", [math.nan, np.float64(math.nan), np.array([0.5, math.nan])],
+                             ids=["float", "numpy-scalar", "array"])
+    def test_nan_control_rejected(self, u):
+        # NaN fails both sides of a comparison, so the check must ask for
+        # u in range, not for u out of it; the gate is closed at x2 = 10
+        for x2 in (0.0, 10.0):
+            with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+                q_pump(50.0, x2, u, P)
+            with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+                step(50.0, x2, u, 0.0, 0.0, P)
 
     def test_q_drain(self):
         assert q_drain(0.0, P) == 0.0
@@ -239,3 +252,87 @@ class TestInputConvention:
                 for kind in SCALAR_KINDS:
                     single = np.asarray(law(*args(*map(kind, point))))
                     assert single.tobytes() == batch[..., i].tobytes(), (law.__name__, kind)
+
+
+def _select_q_out(x1, p):
+    head = x1 / p.a1 - p.z_o
+    return np.where(head > 0.0, p.c_out * np.sqrt(np.maximum(head, 0.0)), 0.0)
+
+
+def _select_q_pump(x1, x2, u, p):
+    if np.any((u < 0.0) | (u > 1.0)):
+        raise ValueError("control fraction u must lie in [0, 1]")
+    radicand = x1 / p.a1 + p.c_hat - p.d
+    if np.any(radicand <= 0.0):
+        raise ValueError("pump-curve radicand not positive; invalid parameters")
+    return np.where(pump_gate(x1, x2, p), u * (p.b * np.sqrt(radicand)), 0.0)
+
+
+def _select_q_drain(x2, p):
+    rate = p.K * p.a2 * (x2 / p.a2 + p.z_soil) / p.z_soil
+    return np.where(x2 < p.z_cap, 0.0, rate)
+
+
+def _select_f_rhs(x1, x2, u, w_r, w_e, p):
+    return mass_balance(_select_q_out(x1, p), _select_q_pump(x1, x2, u, p),
+                        _select_q_drain(x2, p), w_r, w_e, p)
+
+
+def _select_step(x1, x2, u, w_r, w_e, p):
+    """The step as written with np.where, np.any and np.clip: the
+    reference that the wrapper-free flow laws must reproduce bit for bit."""
+    f1, f2 = _select_f_rhs(x1, x2, u, w_r, w_e, p)
+    x1e = x1 + p.tau * f1
+    x2e = x2 + p.tau * f2
+    x1n = np.clip(x1e, 0.0, p.cap1)
+    x2n = np.clip(x2e, 0.0, p.cap2)
+    return x1n, x2n, x1n - x1e, x2n - x2e
+
+
+# the wet and dry states plus -0.0, which the lower clamp keeps under
+# rain of -0.0, and absurd rain that drives both tanks past their caps
+EDGE_X1 = WET_DRY_X1 | st.just(-0.0)
+EDGE_X2 = WET_DRY_X2 | st.just(-0.0)
+EDGE_U = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+EDGE_W_R = st.sampled_from([-0.0, 0.0, 1.0]) | st.floats(0.0, 1e-3)
+EDGE_W_E = st.sampled_from([0.0, 1e-4]) | st.floats(0.0, 1e-4)
+STEP_PLANTS = [P, PlantParams(tau=60.0), PlantParams(tau=3600.0)]
+
+
+def _bits(values):
+    return [np.asarray(v).tobytes() for v in values]
+
+
+class TestSelectFreeForms:
+    """``f_rhs`` and ``step`` give the bits of the np.where / np.any /
+    np.clip forms they replace, on Python floats, on numpy scalars and on
+    each element of an array: -0.0 and both clamps at both ends included."""
+
+    @given(points=st.lists(st.tuples(EDGE_X1, EDGE_X2, EDGE_U, EDGE_W_R, EDGE_W_E),
+                           min_size=1, max_size=6),
+           p=st.sampled_from(STEP_PLANTS))
+    @settings(max_examples=200, deadline=None)
+    def test_same_bits_as_select_forms(self, points, p):
+        columns = [np.array(c) for c in zip(*points)]
+        for law, ref in ((f_rhs, _select_f_rhs), (step, _select_step)):
+            got = law(*columns, p)
+            assert _bits(got) == _bits(ref(*columns, p)), law.__name__
+            for point in points:
+                for kind in (float, np.float64):
+                    args = [kind(v) for v in point]
+                    assert _bits(law(*args, p)) == _bits(ref(*args, p)), (law.__name__, kind)
+
+    def test_edges_are_reached(self):
+        # the strategies above reach what they claim: a closed outlet at
+        # head 0, the drain switching on at z_cap, the gate opening at its
+        # volume, -0.0 kept by the lower clamp, and both upper clamps
+        assert q_out(P.a1 * P.z_o, P) == 0.0 and q_drain(P.z_cap, P) > 0.0
+        assert q_pump(P.pump_gate_volume, 0.0, 1.0, P) > 0.0
+        x1n, _, clamp1, _ = step(-0.0, 0.0, 0.0, -0.0, 0.0, P)
+        assert math.copysign(1.0, x1n) == -1.0 and clamp1 == 0.0
+        x1n, x2n, clamp1, clamp2 = step(P.cap1, P.cap2, 1.0, 1.0, 0.0, STEP_PLANTS[2])
+        assert (x1n, x2n) == (P.cap1, P.cap2) and clamp1 < 0.0 and clamp2 < 0.0
+        x1n, _, clamp1, _ = step(P.pump_gate_volume, 0.0, 1.0, 0.0, 0.0, STEP_PLANTS[2])
+        assert x1n == 0.0 and clamp1 > 0.0
+        _, x2n, _, clamp2 = step(0.0, 1e-3, 0.0, 0.0, 1e-4, STEP_PLANTS[2])
+        assert x2n == 0.0 and clamp2 > 0.0

@@ -239,6 +239,15 @@ class TestScenarioAndTrace:
             run_scenario(self._scenario(), step_fn)
         assert info.value.step == 3
 
+    def test_nan_control_fails_at_its_step(self):
+        # np.clip passes NaN through, and the plant refuses it
+        def step_fn(t, x1, x2, u_prev):
+            return np.nan if t == 3 else 0.5
+
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]") as info:
+            run_scenario(self._scenario(), step_fn)
+        assert info.value.step == 3
+
     def test_one_mpc_controller_drives_two_runs(self):
         # the controller keeps no state, so a second run repeats the first;
         # the first run ends pumping, so a control carried over would show

@@ -147,6 +147,9 @@ class TestSmoothFlows:
         assert float(q_pump_eps(100.0, 0.0, 0.0, SP)) == 0.0
         with pytest.raises(ValueError):
             q_pump_eps(100.0, 0.0, 1.2, SP)
+        for u in (math.nan, np.float64(math.nan), np.array([0.5, math.nan])):
+            with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+                q_pump_eps(100.0, 0.0, u, SP)
 
     def test_q_pump_eps_deep_interior_matches_exact(self):
         # both gates saturated (margins above 40*eps at eps = 0.05): x1
