@@ -227,6 +227,10 @@ class PolicyTable:
 
     ``solve`` stores them in the smallest unsigned dtype that holds every
     action index (uint8 up to 256 actions); any integer dtype works.
+    Where every stage of a ``solve`` takes the same row, as at tau = 1 s
+    on the default grid, ``mu`` is that one row broadcast to (N, nnodes):
+    a read-only view with stride 0 over t, which reads as the dense
+    table does and stores nnodes entries, not N * nnodes.
     """
 
     mu: np.ndarray  # (N, nnodes) int
@@ -292,13 +296,21 @@ class _Tables:
     def from_plant(cls, grid: Grid, actions, dm: DisturbanceModel, costs: CostSpec,
                    p: PlantParams) -> "_Tables":
         """Tables of the nearest-node successor of one clamped
-        ``plant.step`` from every node under every action and atom."""
-        x1n, x2n, _, _ = plant_mod.step(grid.node_x1[:, None, None], grid.node_x2[:, None, None],
-                                        np.asarray(actions, dtype=float)[:, None],
-                                        dm.w_r, dm.w_e, p)
-        x1n = np.clip(x1n, grid.x1_nodes[0], grid.x1_nodes[-1])
-        x2n = np.clip(x2n, grid.x2_nodes[0], grid.x2_nodes[-1])
-        return cls(grid, actions, dm, costs, grid.nearest(x1n, x2n))
+        ``plant.step`` from every node under every action and atom.
+
+        The dense (nnodes, nA, natoms) table is filled one action at a
+        time, one ``plant.step`` per action, so the step's temporaries
+        are (nnodes, natoms), not nA times that. The arithmetic is
+        elementwise, so each successor has the bits of one broadcast
+        step over every action."""
+        actions = np.asarray(actions, dtype=float)
+        x1, x2 = grid.node_x1[:, None], grid.node_x2[:, None]
+        succ = np.empty((grid.nnodes, actions.size, dm.natoms), dtype=np.intp)
+        for a, u in enumerate(actions):
+            x1n, x2n, _, _ = plant_mod.step(x1, x2, u, dm.w_r, dm.w_e, p)
+            succ[:, a] = grid.nearest(np.clip(x1n, grid.x1_nodes[0], grid.x1_nodes[-1]),
+                                      np.clip(x2n, grid.x2_nodes[0], grid.x2_nodes[-1]))
+        return cls(grid, actions, dm, costs, succ)
 
     @property
     def succ(self) -> np.ndarray:
@@ -448,20 +460,37 @@ def solve(N: int, grid: Grid, actions, dm: DisturbanceModel, costs: CostSpec,
     V_t needs only V_{t+1}, so with ``keep_values=False`` the values
     live in two rows that the stages take in turn (stage t writes row
     t % 2), and the ValueTable holds V[0] alone, shape (1, nnodes), with
-    the bits of the full table's row 0. The policy table is kept whole
-    either way.
+    the bits of the full table's row 0.
+
+    The policy is held as one row for as long as every stage solved so
+    far takes the row of stage N-1; at tau = 1 s on the default grid
+    every stage does, and ``mu`` is that row broadcast to (N, nnodes),
+    read-only. The first stage whose row differs (compared by its bytes,
+    which costs far less than a stage) allocates the dense table, fills
+    the stages after it with the held row, and every earlier stage
+    writes its own row, as at ``--fast``.
     """
     if N < 1:
         raise ValueError("horizon N must be at least 1")
     tables = _Tables.from_plant(grid, actions, dm, costs, p)
     theta = None if rm is None else rm.theta
     V = np.empty((N + 1 if keep_values else 2, grid.nnodes))
-    mu = np.empty((N, grid.nnodes), dtype=np.min_scalar_type(tables.actions.size - 1))
+    dtype = np.min_scalar_type(tables.actions.size - 1)
     n_rows = len(V)
     V[N % n_rows] = tables.terminal_cost()
+    mu = held = None
     for t in range(N - 1, -1, -1):
-        V[t % n_rows], mu[t] = _backup(V[(t + 1) % n_rows], tables.stage_cost(t), theta,
-                                       tables)
+        V[t % n_rows], row = _backup(V[(t + 1) % n_rows], tables.stage_cost(t), theta, tables)
+        if mu is not None:
+            mu[t] = row
+        elif held is None:
+            held, held_bytes = row.astype(dtype), row.tobytes()
+        elif row.tobytes() != held_bytes:
+            mu = np.empty((N, grid.nnodes), dtype=dtype)
+            mu[t + 1:] = held
+            mu[t] = row
+    if mu is None:
+        mu = np.broadcast_to(held, (N, grid.nnodes))
     return (ValueTable(V=V if keep_values else V[:1]),
             PolicyTable(mu=mu, actions=tables.actions, grid=grid))
 

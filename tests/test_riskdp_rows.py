@@ -9,13 +9,15 @@ argmin over every action, and count the rows and the kept actions of two
 instances by hand.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _instances import dp_spec_inputs, oracle_instance
-from stormdp import riskdp
+from stormdp import plant, riskdp
 from stormdp.plant import PlantParams
 from stormdp.riskdp import (
     CostSpec,
@@ -275,6 +277,23 @@ def _plant_tables(p, w_r, w_e):
     return riskdp._Tables.from_plant(*dp_spec_inputs(p, w_r, w_e), p)
 
 
+def _one_second_inputs():
+    """``solve``'s instance arguments at tau = 1 s on a storm repeating
+    three rain levels, which bins into three atoms: the default grid,
+    actions, atoms, cost and plant."""
+    rain = np.tile([0.0, 2.0e-3 / 3600.0, 5.0e-3 / 3600.0], 60)
+    p = PlantParams(tau=1.0)
+    return (*dp_spec_inputs(p, rain, np.full(rain.size, 4.0e-5)), p)
+
+
+def _fast_inputs():
+    """``solve``'s instance arguments at ``--fast``: tau = 60 s on the
+    first 720 samples of the preset storm."""
+    p = PlantParams(tau=60.0)
+    weather = wet_12h(dt=60.0)
+    return (*dp_spec_inputs(p, weather.w_r[:720], weather.w_e[:720]), p)
+
+
 class TestNonFiniteGuard:
     """The backup raises where any (node, action) value is not finite,
     kept or left out, as the dense backup does."""
@@ -340,8 +359,7 @@ class TestRowCount:
         # a storm repeating three rain levels bins into three atoms; at
         # tau = 1 s no atom moves a node off itself, so the rows are
         # (i, i, i), one per node, shared by all 11 actions
-        rain = np.tile([0.0, 2.0e-3 / 3600.0, 5.0e-3 / 3600.0], 60)
-        tables = _plant_tables(PlantParams(tau=1.0), rain, np.full(rain.size, 4.0e-5))
+        tables = riskdp._Tables.from_plant(*_one_second_inputs())
         assert tables.dm.natoms == 3
         nodes = np.arange(41 * 41)
         assert tables.rows.shape == (153, 11, 3)
@@ -359,3 +377,117 @@ class TestRowCount:
             tables.succ = np.zeros_like(tables.succ)
         with pytest.raises(ValueError):
             tables.succ[0, 0, 0] = 1
+
+
+def broadcast_tables(grid, actions, dm, costs, p):
+    """The tables of one broadcast ``plant.step`` over every node, action
+    and atom at once: the reference for ``from_plant``, which steps one
+    action at a time."""
+    actions = np.asarray(actions, dtype=float)
+    x1n, x2n, _, _ = plant.step(grid.node_x1[:, None, None], grid.node_x2[:, None, None],
+                                actions[:, None], dm.w_r, dm.w_e, p)
+    x1n = np.clip(x1n, grid.x1_nodes[0], grid.x1_nodes[-1])
+    x2n = np.clip(x2n, grid.x2_nodes[0], grid.x2_nodes[-1])
+    return riskdp._Tables(grid, actions, dm, costs, grid.nearest(x1n, x2n))
+
+
+def _oracle_inputs():
+    inst = oracle_instance()
+    return inst.grid, inst.actions, inst.dm, inst.costs, inst.plant
+
+
+class TestOneActionAtATime:
+    """``from_plant`` projects the successors one action at a time, with
+    the tables of the one broadcast projection."""
+
+    @pytest.mark.parametrize("inputs", [_one_second_inputs, _fast_inputs, _oracle_inputs],
+                             ids=["41x41-1s", "41x41-60s", "oracle-3x1"])
+    def test_same_tables(self, inputs):
+        args = inputs()
+        ours, ref = riskdp._Tables.from_plant(*args), broadcast_tables(*args)
+        for name in ("succ", "rows", "row_of", "cand", "cand_row"):
+            assert getattr(ours, name).dtype == getattr(ref, name).dtype, name
+            assert np.array_equal(getattr(ours, name), getattr(ref, name)), name
+
+    def test_one_step_per_action(self, monkeypatch):
+        calls = []
+        step = plant.step
+
+        def counted(x1, x2, u, *rest):
+            calls.append(np.shape(u))
+            return step(x1, x2, u, *rest)
+
+        monkeypatch.setattr(plant, "step", counted)
+        riskdp._Tables.from_plant(*_fast_inputs())
+        assert calls == [()] * 11
+
+
+def dense_mu(N, theta, tables):
+    """The policy table filled stage by stage with ``_backup``, shape
+    (N, nnodes), uint8."""
+    mu = np.empty((N, tables.grid.nnodes), dtype=np.uint8)
+    V = tables.terminal_cost()
+    for t in range(N - 1, -1, -1):
+        V, mu[t] = riskdp._backup(V, tables.stage_cost(t), theta, tables)
+    return mu
+
+
+def _time_varying(args):
+    grid, actions, dm, costs, p = args
+    return grid, actions, dm, CostSpec(costs.stage, costs.terminal, True), p
+
+
+class TestHeldPolicyRow:
+    """``solve`` stores one policy row when every stage takes it, and the
+    dense table otherwise; either reads as the dense table."""
+
+    @staticmethod
+    def _both(N, args, theta=-0.1):
+        _, policy = solve(N, *args, RiskParams(theta), keep_values=False)
+        return policy.mu, dense_mu(N, theta, riskdp._Tables.from_plant(*args))
+
+    def test_one_row_at_one_second(self):
+        mu, ref = self._both(600, _one_second_inputs())
+        assert mu.dtype == np.uint8 and mu.shape == (600, 41 * 41)
+        assert np.array_equal(mu, ref)
+        assert mu.strides[0] == 0
+        assert not mu.flags.writeable
+        with pytest.raises(ValueError):
+            mu[0, 0] = 1
+
+    def test_dense_at_fast(self):
+        mu, ref = self._both(720, _fast_inputs())
+        assert mu.dtype == np.uint8 and mu.flags.c_contiguous and mu.flags.writeable
+        assert np.array_equal(mu, ref)
+        assert np.unique(mu, axis=0).shape[0] == 4
+
+    def test_dense_under_time_varying_cost(self):
+        args = _time_varying(_oracle_inputs())
+        mu, ref = self._both(3, args, theta=-1.5)
+        assert mu.flags.c_contiguous and mu.flags.writeable
+        assert np.array_equal(mu, ref)
+        assert np.unique(mu, axis=0).shape[0] > 1
+
+    def test_one_row_under_time_varying_flag(self):
+        # the flag asks for a cost per stage; the rows still all agree
+        mu, ref = self._both(60, _time_varying(_one_second_inputs()))
+        assert np.array_equal(mu, ref)
+        assert mu.strides[0] == 0
+
+
+class TestSolveMemory:
+    """The traced peak of a two-row solve stays below 3 MB: the successor
+    table is built one action at a time, and one policy row is stored
+    where every stage takes it."""
+
+    @pytest.mark.parametrize("inputs, N", [(_one_second_inputs, 2520), (_fast_inputs, 720)],
+                             ids=["41x41-1s-N2520", "fast-N720"])
+    def test_peak_below_3_mb(self, inputs, N):
+        args = inputs()
+        tracemalloc.start()
+        try:
+            solve(N, *args, RiskParams(-0.1), keep_values=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6, f"peak {peak / 1e6:.2f} MB"
