@@ -35,7 +35,6 @@ from .riskdp import (
     RiskParams,
     ValueTable,
     brute_force_optimal,
-    entropic_backup,
     evaluate_policy_W,
     lipschitz_regularize,
     risk_functional,
@@ -65,7 +64,6 @@ from .smooth import (
     q_pump_eps,
     sigmoid_gate,
     smooth_sqrt,
-    smooth_sqrt_deriv,
 )
 
 __version__ = "0.1.0"

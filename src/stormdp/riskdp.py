@@ -44,7 +44,6 @@ __all__ = [
     "tracking_cost",
     "ValueTable",
     "PolicyTable",
-    "entropic_backup",
     "solve",
     "evaluate_policy_W",
     "BruteForceResult",
@@ -193,8 +192,8 @@ class CostSpec:
 
 def tracking_error(x2, p: PlantParams):
     """Squared soil-depth error (x2/a2 - z_veg)^2, the state term of every
-    controller's cost. Plain arithmetic, so a numpy scalar takes the
-    scalar path and an array the array path."""
+    controller's cost. The DP's node tables and the closed loop's x2
+    column both pass arrays, so both square alike."""
     return (x2 / p.a2 - p.z_veg) ** 2
 
 
@@ -382,17 +381,6 @@ def _psi(V_succ: np.ndarray, p: np.ndarray, theta: float) -> np.ndarray:
     return (m + np.log(np.exp(a - m[..., None]) @ p)) / gamma
 
 
-def entropic_backup(V_next, t: int, rm: RiskParams, grid: Grid, dm: DisturbanceModel,
-                    actions, costs: CostSpec, p: PlantParams):
-    """One backward step: V_t(x) = min_u [c_t(x,u) + psi_t(x,u)].
-
-    Argmin ties resolve to the smallest action index, a fixed measurable
-    selector. Raises if any value fails to be finite.
-    """
-    tables = _Tables.from_plant(grid, actions, dm, costs, p)
-    return _backup(np.asarray(V_next, dtype=float), tables.stage_cost(t), rm.theta, tables)
-
-
 def _row_psi(V_next, theta, tables: _Tables) -> np.ndarray:
     """psi_t once per distinct successor row, shaped as ``tables.rows``
     without its atom axis, so ``row_of`` indexes it flat.
@@ -443,8 +431,7 @@ def _backup(V_next, cost, theta, tables: _Tables):
             if not np.all(np.isfinite(_q_values(V_next, cost, theta, tables))):
                 raise ArithmeticError("non-finite value in entropic backup")
     if q.shape[1] == 1:
-        # a fresh array, as argmin gives, not a view of the tables
-        return q[:, 0], tables.cand[:, 0].copy()
+        return q[:, 0], tables.cand[:, 0]
     flat = np.argmin(q, axis=1) + np.arange(0, q.size, q.shape[1])
     return q.take(flat), tables.cand.take(flat)
 

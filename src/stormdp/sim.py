@@ -29,7 +29,6 @@ __all__ = [
     "write_csv",
     "float_rows",
     "write_trace_csv",
-    "read_trace_csv",
     "load_weather_csv",
     "synth_storm",
     "wet_12h",
@@ -353,7 +352,7 @@ def run_scenario(sc: Scenario, step_fn=None) -> Trace:
 
 
 def _closed_loop(x0, n: int, step_fn, weather: WeatherSeries, p: PlantParams,
-                 hold: int = 1) -> Trace:
+                 hold: int) -> Trace:
     """The loop body of :func:`run_scenario`, deciding every ``hold``
     steps. ``x0`` is one start, two floats, or m starts, two arrays of
     shape (m,); the states then have shape (n+1,) or (n+1, m) and
@@ -362,7 +361,6 @@ def _closed_loop(x0, n: int, step_fn, weather: WeatherSeries, p: PlantParams,
     x1 = np.empty((n + 1, *cells))
     x2 = np.empty((n + 1, *cells))
     u = np.empty((n, *cells))
-    cost = np.empty((n, *cells))
     clamp1 = np.empty((n, *cells))
     clamp2 = np.empty((n, *cells))
     x1[0], x2[0] = x0
@@ -378,10 +376,10 @@ def _closed_loop(x0, n: int, step_fn, weather: WeatherSeries, p: PlantParams,
         except Exception as exc:
             exc.step = t
             raise
-        cost[t] = riskdp.tracking_error(x2[t], p)
+    # cost is one array op, so a batch's column and a single run round alike
     return Trace(t=p.tau * np.arange(n + 1), x1=x1, x2=x2, u=u,
                  w_r=w_r.copy(), w_e=w_e.copy(),
-                 cost=cost, clamp1=clamp1, clamp2=clamp2)
+                 cost=riskdp.tracking_error(x2[:-1], p), clamp1=clamp1, clamp2=clamp2)
 
 
 def describe_failure(exc: Exception) -> str:
@@ -421,18 +419,6 @@ def write_trace_csv(trace: Trace, path) -> None:
     """One row per state; the last row leaves the per-step columns empty."""
     names = [f.name for f in fields(Trace)]
     write_csv(path, names, float_rows(*(getattr(trace, name) for name in names)))
-
-
-def read_trace_csv(path) -> Trace:
-    names = [f.name for f in fields(Trace)]
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader) != names:
-            raise ValueError("unexpected trace header")
-        rows = [row for row in reader if row]
-    # t, x1 and x2 have one row more than the per-step columns
-    return Trace(**{name: np.array([float(row[j]) for row in (rows if j < 3 else rows[:-1])])
-                    for j, name in enumerate(names)})
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,7 @@ from .plant import PlantParams, mass_balance
 __all__ = [
     "SmoothParams",
     "smooth_sqrt",
-    "smooth_sqrt_deriv",
     "sigmoid_gate",
-    "sigmoid_gate_deriv",
     "q_out_eps",
     "q_pump_eps",
     "q_drain_eps",
@@ -82,11 +80,6 @@ def smooth_sqrt(y, eps: float):
     return _sqrt_and_slope(y, eps)[0]
 
 
-def smooth_sqrt_deriv(y, eps: float):
-    """Derivative of :func:`smooth_sqrt` with respect to y."""
-    return _sqrt_and_slope(y, eps)[1]
-
-
 def sigmoid_gate(z, threshold: float, sense: str, eps: float):
     """Logistic gate in (0, 1) switching at ``threshold``.
 
@@ -95,11 +88,6 @@ def sigmoid_gate(z, threshold: float, sense: str, eps: float):
     a fully saturated gate never overflows.
     """
     return _gate_and_slope(z, threshold, sense, eps)[0]
-
-
-def sigmoid_gate_deriv(z, threshold: float, sense: str, eps: float):
-    """Derivative of :func:`sigmoid_gate` with respect to z."""
-    return _gate_and_slope(z, threshold, sense, eps)[1]
 
 
 def _outlet(x1, sp: SmoothParams):

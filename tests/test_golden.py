@@ -8,11 +8,11 @@ in ``tests/data``.
 Text columns, the policy column ``mu0`` and empty cells (a trace's last
 row has no per-step values) must match exactly. The on/off traces take
 no exp or log, only IEEE arithmetic and square roots, so every column
-of theirs but ``cost`` must match byte for byte too; ``cost`` squares
-through ``pow``. Other numeric columns must match to rel=1e-9, which
-leaves room for a numpy build that rounds exp/log/pow differently in
-the last bit. A deliberate change of these outputs regenerates the files
-from the repository root:
+of theirs must match byte for byte too: ``cost`` squares the x2 column
+after the loop as one array, which numpy does as ``x * x``. Other
+numeric columns must match to rel=1e-9, which leaves room for a numpy
+build that rounds exp/log/pow differently in the last bit. A deliberate
+change of these outputs regenerates the files from the repository root:
 
     PYTHONPATH=src python -m stormdp.cli compare --fast --with-dp \\
         --out tests/data/compare_fast_with_dp.csv --timing-out /dev/null
@@ -39,7 +39,8 @@ from stormdp.cli import main
 
 DATA = Path(__file__).parent / "data"
 EXACT_COLUMNS = {"scenario", "controller", "params", "status", "mu0"}
-ONOFF_EXACT = EXACT_COLUMNS | {"t", "x1", "x2", "u", "w_r", "w_e", "clamp1", "clamp2"}
+ONOFF_EXACT = EXACT_COLUMNS | {"t", "x1", "x2", "u", "w_r", "w_e", "cost", "clamp1",
+                               "clamp2"}
 
 
 def _read(path):

@@ -26,7 +26,6 @@ from stormdp.riskdp import (
     Grid,
     RiskParams,
     brute_force_optimal,
-    entropic_backup,
     evaluate_policy_W,
     lipschitz_regularize,
     risk_functional,
@@ -106,13 +105,20 @@ class TestDisturbanceModel:
             DisturbanceModel.from_series([], [], n_atoms=3)
 
 
+def _stage(V_next, t, theta, inst, dm=None):
+    """V_t and its argmin from V_{t+1}: one backward stage, taken as
+    ``solve`` takes it."""
+    tables = riskdp._Tables.from_plant(inst.grid, inst.actions, dm or inst.dm, inst.costs,
+                                       inst.plant)
+    return riskdp._backup(V_next, tables.stage_cost(t), theta, tables)
+
+
 class TestBackup:
     def test_single_atom_reduces_to_lookup(self):
         inst = oracle_instance()
         dm1 = DisturbanceModel(w_r=[0.0], w_e=[0.0], p=[1.0])
         V_next = np.array([1.0, 5.0, 2.0])
-        V, mu = entropic_backup(V_next, 0, RiskParams(-1.0), inst.grid, dm1,
-                                inst.actions, inst.costs, inst.plant)
+        V, mu = _stage(V_next, 0, -1.0, inst, dm1)
         # psi equals V_next at the (deterministic) successor exactly
         for i in range(3):
             choices = [inst.stage_table[0, i, a]
@@ -123,8 +129,7 @@ class TestBackup:
     def test_constant_V_next(self):
         inst = oracle_instance()
         V_next = np.full(3, 7.25)
-        V, mu = entropic_backup(V_next, 1, RiskParams(-0.7), inst.grid, inst.dm,
-                                inst.actions, inst.costs, inst.plant)
+        V, mu = _stage(V_next, 1, -0.7, inst)
         expected = 7.25 + inst.stage_table[1].min(axis=1)
         assert np.allclose(V, expected, atol=1e-12)
 
@@ -136,13 +141,9 @@ class TestBackup:
     def test_shift_stability(self):
         inst = oracle_instance()
         for theta in (-0.01, -1.0, -100.0):
-            rm = RiskParams(theta)
             V_next = np.array([0.3, 1.1, 0.7])
-            V, _ = entropic_backup(V_next, 0, rm, inst.grid, inst.dm,
-                                   inst.actions, inst.costs, inst.plant)
-            V_shift, _ = entropic_backup(V_next + 700.0, 0, rm, inst.grid,
-                                         inst.dm, inst.actions, inst.costs,
-                                         inst.plant)
+            V, _ = _stage(V_next, 0, theta, inst)
+            V_shift, _ = _stage(V_next + 700.0, 0, theta, inst)
             assert np.all(np.abs((V_shift - 700.0) - V) <= 1e-9)
 
 
@@ -231,8 +232,7 @@ class TestSolve:
         values, policy = solve(1, inst.grid, inst.actions, inst.dm, inst.costs,
                                inst.plant, RiskParams(-1.0))
         assert np.allclose(values.V[1], inst.terminal_table)
-        V0, mu0 = entropic_backup(values.V[1], 0, RiskParams(-1.0), inst.grid,
-                                  inst.dm, inst.actions, inst.costs, inst.plant)
+        V0, mu0 = _stage(values.V[1], 0, -1.0, inst)
         assert np.allclose(values.V[0], V0)
         assert np.array_equal(policy.mu[0], mu0)
 

@@ -7,26 +7,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stormdp import plant, riskdp
+from stormdp import plant, riskdp, sim
 from stormdp.linearize import NearSingularSystem
 from stormdp.plant import PlantParams
 from stormdp.sim import (
     ControllerSpec,
     Scenario,
+    Trace,
     WeatherSeries,
     compare,
     cumulative_deviation,
     hold_steps,
     load_weather_csv,
     make_controller,
-    read_trace_csv,
     run_scenario,
     solve_dp,
     standard_initial_states,
     synth_storm,
     wet_12h,
     write_comparison_csv,
-    write_trace_csv,
 )
 
 P = PlantParams(tau=60.0)
@@ -63,6 +62,24 @@ def _assert_rows_match_single_cells(starts, specs, weather, N, p=P, control_peri
         assert (row.scenario, row.params, row.status) == (name, specs[i].label, "ok")
         assert (row.cumulative_deviation, row.sum_u_sq) == _alone(
             name, x0, specs[i], weather, N, step_fns.get(i), p, control_period)
+
+
+def _assert_columns_match_single_runs(spec, weather, N, p):
+    """Each column of one closed loop over the three standard starts
+    equals its start's run alone on the same controller, in every
+    ``Trace`` field and bit."""
+    starts = standard_initial_states(p)
+    hold = hold_steps(p.tau)
+    step_fn = make_controller(spec, p, weather, N, hold)
+    trace = sim._closed_loop(tuple(np.array(list(starts.values())).T), N, step_fn,
+                             weather, p, hold)
+    for j, (name, x0) in enumerate(starts.items()):
+        alone = run_scenario(Scenario(name=name, x0=x0, N=N, controller=spec,
+                                      weather=weather, plant=p), step_fn)
+        column = sim._column(trace, j)
+        for f in fields(Trace):
+            assert (getattr(column, f.name).tobytes()
+                    == getattr(alone, f.name).tobytes()), (name, f.name)
 
 
 class TestWeatherSeries:
@@ -302,16 +319,6 @@ class TestScenarioAndTrace:
         longer = dataclasses.replace(tr, x2=np.append(tr.x2, P.x2_target + 1.0))
         assert cumulative_deviation(longer, P) > base
 
-    def test_csv_round_trip(self, tmp_path):
-        sc = self._scenario(kind="mpc", N=30)
-        tr = run_scenario(sc)
-        path = tmp_path / "trace.csv"
-        write_trace_csv(tr, path)
-        back = read_trace_csv(path)
-        for name in ("t", "x1", "x2", "u", "w_r", "w_e", "cost",
-                     "clamp1", "clamp2"):
-            assert np.array_equal(getattr(tr, name), getattr(back, name)), name
-
 
 class TestCompare:
     def test_single_cell(self):
@@ -346,6 +353,16 @@ class TestCompare:
         write_comparison_csv(rows, b)
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("spec, dt, N", [
+        # low-low reaches an x2 whose error squares differently through pow
+        (ControllerSpec(kind="onoff", v=0.5), 60.0, 720),
+        (ControllerSpec(kind="mpc"), 60.0, 120),
+        (DP_9, 60.0, 120),
+        (ControllerSpec(kind="mpc"), 1.0, 600),   # held for 60 steps
+    ], ids=["onoff-fast", "mpc-fast", "dp-fast", "mpc-1s-held"])
+    def test_batched_columns_equal_single_runs(self, spec, dt, N):
+        _assert_columns_match_single_runs(spec, wet_12h(dt=dt), N, PlantParams(tau=dt))
+
     def test_batched_cells_equal_single_cells(self):
         specs = [ControllerSpec(kind="onoff", v=v) for v in (0.2, 0.5, 1.0, 2.0)]
         _assert_rows_match_single_cells(standard_initial_states(P), specs + [DP_9],
@@ -374,8 +391,9 @@ class TestCompare:
                  DP_9]
         rows = compare(standard_initial_states(P), specs, wet_12h(dt=60.0), 50, P)
         assert [r.status for r in rows] == ["ok"] * 9
-        # the DP builds its table in one call on the whole grid; every other
-        # call is a closed-loop step, one per step for all 9 cells
+        # the DP builds its table with one call per action on (nodes, 1)
+        # arrays, which the filter skips; every other call is a
+        # closed-loop step, one per step for all 9 cells
         assert [s for s in shapes if len(s) <= 1] == [(9,)] * 50
 
     def test_failing_batched_cell_fails_alone(self):
@@ -443,7 +461,7 @@ class TestBatchedMpc:
         specs = [MPC, ControllerSpec(kind="onoff", v=0.5), DP_9]
         rows = compare(standard_initial_states(P), specs, wet_12h(dt=60.0), 50, P)
         assert [r.status for r in rows] == ["ok"] * 9
-        # besides the DP's one whole-grid table call, one step for all 9 cells
+        # besides the DP's table calls on (nodes, 1) arrays, one step for all 9 cells
         assert [s for s in shapes if len(s) <= 1] == [(9,)] * 50
 
     def test_mpc_cell_next_to_a_failing_cell_runs_fresh(self):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from stormdp import smooth
 from stormdp.plant import PlantParams, f_rhs, q_drain, q_out, q_pump
 from stormdp.smooth import (
     SmoothParams,
@@ -13,9 +14,7 @@ from stormdp.smooth import (
     q_out_eps,
     q_pump_eps,
     sigmoid_gate,
-    sigmoid_gate_deriv,
     smooth_sqrt,
-    smooth_sqrt_deriv,
 )
 
 P = PlantParams()
@@ -54,13 +53,13 @@ class TestSmoothSqrt:
                             rng.uniform(eps + 0.01, 5.0, 200),
                             rng.uniform(-3.0, -0.01, 200)])
         fd = (smooth_sqrt(y + h, eps) - smooth_sqrt(y - h, eps)) / (2 * h)
-        an = smooth_sqrt_deriv(y, eps)
+        an = smooth._sqrt_and_slope(y, eps)[1]
         assert np.all(np.abs(fd - an) <= 1e-6 * (1.0 + np.abs(an)))
 
     def test_far_branches_stay_quiet(self):
         y = np.array([-1e6, 0.0, 0.5, 1e6])
         with np.errstate(all="raise"):
-            vals, slopes = smooth_sqrt(y, 0.5), smooth_sqrt_deriv(y, 0.5)
+            vals, slopes = smooth._sqrt_and_slope(y, 0.5)
         assert np.all(np.isfinite(vals)) and np.all(np.isfinite(slopes))
         assert vals[-1] == 1e3 and slopes[0] == 0.0
 
@@ -89,7 +88,7 @@ class TestSigmoidGate:
         fd = (sigmoid_gate(10.0 + h, 10.0, "activate-above", eps)
               - sigmoid_gate(10.0 - h, 10.0, "activate-above", eps)) / (2 * h)
         assert float(fd) == pytest.approx(1 / (4 * eps), rel=1e-6)
-        an = sigmoid_gate_deriv(10.0, 10.0, "activate-above", eps)
+        an = smooth._gate_and_slope(10.0, 10.0, "activate-above", eps)[1]
         assert float(an) == pytest.approx(1 / (4 * eps), rel=1e-12)
 
     def test_monotone_and_no_overflow(self):
@@ -104,8 +103,7 @@ class TestSigmoidGate:
         # |z - threshold| / eps = 2e6 lies far beyond EXP_CLAMP
         eps = 0.5
         with np.errstate(all="raise"):
-            s = float(sigmoid_gate(z, 0.0, sense, eps))
-            ds = float(sigmoid_gate_deriv(z, 0.0, sense, eps))
+            s, ds = map(float, smooth._gate_and_slope(z, 0.0, sense, eps))
         assert 0.0 <= s <= 1.0
         assert -1 / (4 * eps) <= ds <= 1 / (4 * eps)
         on = (z > 0) == (sense == "activate-above")
@@ -128,7 +126,7 @@ class TestSmoothFlows:
         # at the former kink the smooth flow is C1 with zero slope: the
         # central difference exists and converges to the analytic value 0
         x1 = P.a1 * P.z_o
-        assert float(smooth_sqrt_deriv(0.0, SP.eps)) == 0.0
+        assert float(smooth._sqrt_and_slope(0.0, SP.eps)[1]) == 0.0
         fds = []
         for h in (1e-2, 1e-4, 1e-6):
             fds.append(abs(float(q_out_eps(x1 + h, SP) - q_out_eps(x1 - h, SP))
