@@ -23,6 +23,10 @@ __all__ = [
     "dp_step",
 ]
 
+_NO_WEATHER = np.zeros(2)   # the disturbance before any weather row is seen
+_ZERO_STATE = np.zeros(2)   # the deviation of the state the model is linearized at
+_NO_WEATHER.flags.writeable = _ZERO_STATE.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class MpcConfig:
@@ -61,23 +65,26 @@ def mpc_step(t: int, x1, x2, u_prev, weather, cfg: MpcConfig):
     """
     rows = cfg.horizon * cfg.hold
     n = min(t, rows)
-    # the (n, 2) window's column means, rounded as one stacked reduction
-    w_bar = weather.forecast(t - n, n).mean(axis=0) if n > 0 else np.zeros(2)
+    # the (n, 2) window's column means, rounded as one stacked reduction:
+    # np.mean's own arithmetic, without its wrapper
+    w_bar = np.add.reduce(weather.forecast(t - n, n), axis=0) / n if n > 0 else _NO_WEATHER
     op = OperatingPoint(x1=x1, x2=x2, u=u_prev, w_r=w_bar[0], w_e=w_bar[1])
     lm = linearize_at(op, cfg.smooth)
-    y0 = np.zeros(2)  # linearized at the measured state
-    stages = weather.forecast(t, rows).reshape(-1, cfg.hold, 2).mean(axis=1)
-    ch = condense(lm, cfg.horizon, y0, stages - w_bar, cfg.lam, cfg.plant)
+    stages = weather.forecast(t, rows)
+    if cfg.hold > 1:   # a mean of one row is that row, bit for bit
+        stages = np.add.reduce(stages.reshape(-1, cfg.hold, 2), axis=1) / cfg.hold
+    ch = condense(lm, cfg.horizon, _ZERO_STATE, stages - w_bar, cfg.lam, cfg.plant)
     return solve_mpc_qp(ch).u[..., 0][()]   # [()] makes a scalar state's control a scalar
 
 
-def onoff_step(x1, x2, v: float, p: PlantParams):
+def onoff_step(x1, x2, v, p: PlantParams):
     """Reactive on/off rule: pump at rate v, clamped to [0, 1], wherever
     the plant's pump gate is open, else stay off. Elementwise on state
-    arrays."""
-    if v <= 0:
+    arrays; ``v`` is one rate, or an array of one rate per state."""
+    rate = np.minimum(v, 1.0)
+    if not (rate > 0.0).all():
         raise ValueError("on/off rate v must be positive")
-    return np.where(pump_gate(x1, x2, p), min(v, 1.0), 0.0)
+    return np.where(pump_gate(x1, x2, p), rate, 0.0)
 
 
 def dp_step(t: int, x1, x2, policy: PolicyTable):

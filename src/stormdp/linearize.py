@@ -130,8 +130,9 @@ def condense(lm: LinearModel, M: int, y0, w_dev, lam: float,
     One forward pass gives the x2 Markov parameters h_k = (A^k B)_2,
     k = 0..M-1, and the x2 free response of x <- A x + C w_k + (b - B u_op)
     from ``y0``; ``G`` is the lower-triangular Toeplitz matrix of the h_k.
-    ``y0`` is (2,) or (..., 2) and ``w_dev`` is (M, 2) or (..., M, 2): one
-    for every model of a batch, or one per model.
+    ``y0`` is (2,) or (..., 2) and ``w_dev`` is (M, 2) or (..., M, 2),
+    where ``...`` is the models' batch: one for every model, or one per
+    model.
     """
     if M < 1:
         raise ValueError("horizon M must be at least 1")
@@ -141,26 +142,35 @@ def condense(lm: LinearModel, M: int, y0, w_dev, lam: float,
         raise ValueError("control weight lam must be positive")
     y0 = np.asarray(y0, dtype=float)
     w_dev = np.asarray(w_dev, dtype=float)
-    if y0.shape[-1:] != (2,) or w_dev.shape[-2:] != (M, 2):
-        raise ValueError(f"expected y0 of shape (..., 2) and w_dev of shape (..., {M}, 2), "
-                         f"got {y0.shape} and {w_dev.shape}")
-
-    # states as (..., 2, 1) columns, so each product is one stacked matmul
-    A = lm.A
-    batch = A.shape[:-2]
-    # disturbance and affine term, with the absolute control folded in
+    batch = lm.A.shape[:-2]
+    if (y0.shape not in ((2,), (*batch, 2))
+            or w_dev.shape not in ((M, 2), (*batch, M, 2))):
+        raise ValueError(f"expected y0 of shape (2,) or {(*batch, 2)} and w_dev of shape "
+                         f"({M}, 2) or {(*batch, M, 2)}, got {y0.shape} and {w_dev.shape}")
+    n = lm.A.size // 4   # the batch, flattened
+    # disturbance and affine term, with the absolute control folded in,
+    # as (M, n, 2, 1) columns
     drive = (w_dev @ lm.C.T
-             + (lm.b - lm.B[..., 0] * np.asarray(lm.op.u)[..., None])[..., None, :])[..., None]
-    h = np.zeros((*batch, 2 * M - 1))   # h_0..h_{M-1}, then zeros
-    free = np.empty((*batch, M))
-    AkB, x = lm.B, y0[..., None]
-    for k in range(M):
-        h[..., k] = AkB[..., 1, 0]
-        AkB = A @ AkB
-        x = A @ x + drive[..., k, :, :]
-        free[..., k] = x[..., 1, 0]
-    # take, unlike fancy indexing, leaves each G C-contiguous, as BLAS needs
-    G = np.take(h, _toeplitz_index(M), axis=-1)
+             + (lm.b - lm.B[..., 0] * np.asarray(lm.op.u)[..., None])[..., None, :])
+    drive = drive.reshape(n, M, 2, 1).swapaxes(0, 1)
+    # S[k, 0] = A^k B and S[k, 1] = the free state after k steps: two
+    # independent recursions, advanced as the two entries of one stacked
+    # product. Each entry is the per-matrix BLAS call its recursion makes
+    # alone; a two-column product A @ [A^k B, x] would round differently.
+    S = np.empty((M + 1, 2, n, 2, 1))
+    S[0, 0] = lm.B.reshape(n, 2, 1)
+    S[0, 1] = y0.reshape(-1, 2, 1)
+    A = lm.A.reshape(n, 2, 2)
+    for s, s_next, x_next, d in zip(S, S[1:], S[1:, 1], drive):
+        np.matmul(A, s, out=s_next)
+        x_next += d
+    h = np.zeros((n, 2 * M - 1))   # h_0..h_{M-1}, then zeros
+    h[:, :M] = S[:M, 0, :, 1, 0].T
+    # take, unlike fancy indexing, leaves each G C-contiguous, as BLAS
+    # needs; so does the copy of free, whose strided view would carry its
+    # layout into the QP's products and round them differently
+    G = np.take(h, _toeplitz_index(M), axis=-1).reshape(*batch, M, M)
+    free = S[1:, 1, :, 1, 0].T.copy().reshape(*batch, M)
     return CondensedHorizon(G=G, free=free, lam=float(lam),
                             x2_ref=plant.x2_target - lm.op.x2, a2=plant.a2,
                             lm=lm, y0=y0, w_dev=w_dev)
@@ -225,5 +235,5 @@ def solve_mpc_qp(ch: CondensedHorizon) -> MpcSolution:
         if not ((residual <= 1e-8 * scale) & np.isfinite(scale)).all():
             raise NearSingularSystem("condensed QP solve residual exceeds tolerance")
     u_free = u_free[..., 0]
-    u = np.clip(u_free, 0.0, 1.0)
+    u = u_free.clip(0.0, 1.0)   # np.clip without its dispatch
     return MpcSolution(u=u, u_free=u_free, clamped=bool((u != u_free).any()))

@@ -105,8 +105,8 @@ class Grid:
         NaN state lies outside every box."""
         tol = 1e-9
         x1, x2 = np.asarray(x1), np.asarray(x2)
-        if not np.all((x1 >= self.x1_nodes[0] - tol) & (x1 <= self.x1_nodes[-1] + tol)
-                      & (x2 >= self.x2_nodes[0] - tol) & (x2 <= self.x2_nodes[-1] + tol)):
+        if not ((x1 >= self.x1_nodes[0] - tol) & (x1 <= self.x1_nodes[-1] + tol)
+                & (x2 >= self.x2_nodes[0] - tol) & (x2 <= self.x2_nodes[-1] + tol)).all():
             raise ValueError("state outside the grid's state box")
         return (_nearest_1d(self.x1_nodes, x1) * self.n2
                 + _nearest_1d(self.x2_nodes, x2))
@@ -115,7 +115,8 @@ class Grid:
 def _nearest_1d(nodes: np.ndarray, x: np.ndarray):
     if nodes.size == 1:
         return np.zeros(x.shape, dtype=int) if x.shape else 0
-    j = np.clip(np.searchsorted(nodes, x), 1, nodes.size - 1)
+    # np.searchsorted's and np.clip's values, without their dispatch
+    j = np.minimum(np.maximum(nodes.searchsorted(x), 1), nodes.size - 1)
     lower = x - nodes[j - 1]
     upper = nodes[j] - x
     return np.where(lower <= upper, j - 1, j)

@@ -369,7 +369,8 @@ def _closed_loop(x0, n: int, step_fn, weather: WeatherSeries, p: PlantParams,
     for t in range(n):
         try:
             if t % hold == 0:
-                u_prev = np.clip(step_fn(t, x1[t], x2[t], u_prev), 0.0, 1.0)
+                # np.clip's value, without its dispatch
+                u_prev = np.asarray(step_fn(t, x1[t], x2[t], u_prev)).clip(0.0, 1.0)
             u[t] = u_prev
             x1[t + 1], x2[t + 1], clamp1[t], clamp2[t] = plant_mod.step(
                 x1[t], x2[t], u[t], w_r[t], w_e[t], p)
@@ -444,18 +445,20 @@ def compare(initial_states: dict[str, tuple[float, float]],
     column's control over the same period: each spec's controller is
     built once and drives all starts as its columns, so each ``dp``
     spec's policy is solved once and each ``mpc`` spec condenses and
-    solves its starts' QPs as one batch. A column has the bits of its
-    cell run alone. The rows' ``runtime_s`` is the batch's wall time split
-    evenly across its columns. Failing cells are marked and the rest of
-    the grid still runs: if the batch fails, its cells run again one at a
-    time on the controllers already built, which keep no state, so each
-    row keeps its own status.
+    solves its starts' QPs as one batch; one ``onoff_step`` call serves
+    the columns of every on/off spec, each at its own rate. A column has
+    the bits of its cell run alone. The rows' ``runtime_s`` is the
+    batch's wall time split evenly across its columns. Failing cells are
+    marked and the rest of the grid still runs: if the batch fails, its
+    cells run again one at a time on the controllers already built, which
+    keep no state, so each row keeps its own status.
     """
     hold = hold_steps(p.tau, control_period)
     rows = {}
     step_fns = {}
-    groups = []   # per spec: its slice of columns and its controller
+    groups = []   # per group: its slice of columns and its controller
     cells = []    # per column: its scenario and spec index
+    onoff = []    # per on/off column: its cell and its rate
     start = time.perf_counter()
     for i, spec in enumerate(controllers):
         try:
@@ -465,8 +468,16 @@ def compare(initial_states: dict[str, tuple[float, float]],
                    for name, x0 in initial_states.items()]
         except Exception:
             continue   # its cells run one at a time below and report the error
+        if spec.kind == "onoff":
+            onoff += [((sc, i), spec.v) for sc in scs]
+            continue
         groups.append((slice(len(cells), len(cells) + len(scs)), step_fns[i]))
         cells += [(sc, i) for sc in scs]
+    if onoff:   # every rate's columns in one call, each column at its own rate
+        rates = np.array([v for _, v in onoff])
+        groups.append((slice(len(cells), len(cells) + len(onoff)),
+                       lambda t, x1, x2, u_prev: ctl.onoff_step(x1, x2, rates, p)))
+        cells += [cell for cell, _ in onoff]
 
     def step_fn(t, x1, x2, u_prev):
         return np.concatenate([fn(t, x1[cols], x2[cols], u_prev[cols]) for cols, fn in groups])

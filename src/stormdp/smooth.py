@@ -6,10 +6,14 @@ shrinks, the smooth vector field converges pointwise to the exact one
 away from the switching surfaces. Each root, gate and flow law is
 written once and returns its value with its derivatives from the same
 evaluation; ``f_eps_rhs`` and ``f_eps_jacobians`` both build on them.
+The two roots are evaluated as one stacked array and the three gates as
+another, in two rounds of numpy calls instead of five; each entry keeps
+the bits of its own evaluation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +33,12 @@ __all__ = [
 
 EXP_CLAMP = 500.0  # gates are saturated long before the exponent gets here
 
+_SENSE_SIGNS = {"activate-above": 1.0, "activate-below": -1.0}
+# the plant's three gates in the order they stack on a first axis:
+# drainage on x2 opens above the soil capacity, the pumps' moisture gate
+# on x2 below the target, and their suction gate on x1 above its volume
+_GATE_SIGNS = np.array([1.0, -1.0, 1.0])
+
 
 @dataclass(frozen=True)
 class SmoothParams:
@@ -43,32 +53,40 @@ class SmoothParams:
 
 
 def _sqrt_and_slope(y, eps: float):
-    """:func:`smooth_sqrt` and its derivative, from one evaluation."""
+    """:func:`smooth_sqrt` and its derivative, from one evaluation. The
+    cubic blend calls np.power, which, unlike ``**`` on a numpy scalar,
+    takes the array loop at every shape, so a scalar and a batch round
+    alike."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     y = np.asarray(y, dtype=float)
     yc = np.maximum(y, 0.0)
-    low = (2.0 / 3.0) * np.sqrt(eps)
+    low = (2.0 / 3.0) * math.sqrt(eps)   # IEEE sqrt, as np.sqrt, without a ufunc call
     high = np.sqrt(np.maximum(yc, eps))
-    value = np.where(y <= 0.0, low, np.where(y <= eps, yc ** 1.5 / (3.0 * eps) + low, high))
-    slope = np.where(y <= 0.0, 0.0, np.where(y <= eps, np.sqrt(yc) / (2.0 * eps), 0.5 / high))
+    off, band = y <= 0.0, y <= eps
+    value = np.where(off, low, np.where(band, np.power(yc, 1.5) / (3.0 * eps) + low, high))
+    slope = np.where(off, 0.0, np.where(band, np.sqrt(yc) / (2.0 * eps), 0.5 / high))
     return value, slope
+
+
+def _logistic(z, threshold, sign, eps: float):
+    """Logistic gates and their slopes in z, from one evaluation. ``sign``
+    is +1 for a gate that opens above its threshold and -1 for one that
+    opens below: -(threshold - z) is exactly z - threshold. Thresholds and
+    signs may be arrays that broadcast against z, one entry per gate."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    e = sign * (threshold - np.asarray(z, dtype=float)) / eps
+    # np.clip's value, at a fraction of its call cost on a scalar
+    s = 1.0 / (1.0 + np.exp(np.minimum(np.maximum(e, -EXP_CLAMP), EXP_CLAMP)))
+    return s, sign * s * (1.0 - s) / eps
 
 
 def _gate_and_slope(z, threshold: float, sense: str, eps: float):
     """:func:`sigmoid_gate` and its derivative, from one evaluation."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    z = np.asarray(z, dtype=float)
-    if sense == "activate-above":
-        e, sign = (threshold - z) / eps, 1.0
-    elif sense == "activate-below":
-        e, sign = (z - threshold) / eps, -1.0
-    else:
+    if sense not in _SENSE_SIGNS:
         raise ValueError(f"unknown gate sense {sense!r}")
-    # np.clip's value, at a fraction of its call cost on a scalar
-    s = 1.0 / (1.0 + np.exp(np.minimum(np.maximum(e, -EXP_CLAMP), EXP_CLAMP)))
-    return s, sign * s * (1.0 - s) / eps
+    return _logistic(z, threshold, _SENSE_SIGNS[sense], eps)
 
 
 def smooth_sqrt(y, eps: float):
@@ -90,30 +108,50 @@ def sigmoid_gate(z, threshold: float, sense: str, eps: float):
     return _gate_and_slope(z, threshold, sense, eps)[0]
 
 
-def _outlet(x1, sp: SmoothParams):
-    """Smooth outlet flow and its slope in x1."""
+def _roots(x1, sp: SmoothParams):
+    """The outlet root and the pump-curve root, stacked on a first axis
+    in that order, and their slopes in their radicands: one evaluation
+    for both."""
     p = sp.plant
-    r, dr = _sqrt_and_slope(x1 / p.a1 - p.z_o, sp.eps)
-    return p.c_out * r, p.c_out * dr / p.a1
+    y = np.add.outer((-p.z_o, p.c_hat), x1 / p.a1)   # -z_o + x rounds as x - z_o
+    y[1] -= p.d   # rounded as x1 / a1 + c_hat - d
+    return _sqrt_and_slope(y, sp.eps)
 
 
-def _pump(x1, x2, u, sp: SmoothParams):
-    """Smooth pump flow and its partials in x1, x2 and u."""
+def _gates(sp: SmoothParams, *inputs):
+    """The first len(inputs) of the plant's gates, in ``_GATE_SIGNS``'s
+    order, at their inputs, and their slopes: one evaluation for all,
+    stacked on a first axis."""
+    p = sp.plant
+    # the inputs broadcast and stacked row by row: np.stack costs several
+    # times more at these sizes
+    z = np.empty((len(inputs), *np.broadcast(*inputs).shape))
+    for k, x in enumerate(inputs):
+        z[k] = x
+    column = (len(inputs),) + (1,) * (z.ndim - 1)
+    thresholds = np.array([p.z_cap, p.x2_target, p.pump_gate_volume][:len(inputs)])
+    return _logistic(z, thresholds.reshape(column),
+                     _GATE_SIGNS[:len(inputs)].reshape(column), sp.eps)
+
+
+def _outlet(root, slope, p: PlantParams):
+    """Smooth outlet flow and its slope in x1, from the outlet root."""
+    return p.c_out * root, p.c_out * slope / p.a1
+
+
+def _pump(psi, dpsi, g1, dg1, g2, dg2, u, p: PlantParams):
+    """Smooth pump flow and its partials in x1, x2 and u, from the
+    pump-curve root psi and the suction and moisture gates g1 and g2."""
     if not np.logical_and(u >= 0.0, u <= 1.0).all():   # refuses NaN too
         raise ValueError("control fraction u must lie in [0, 1]")
-    p = sp.plant
-    psi, dpsi = _sqrt_and_slope(x1 / p.a1 + p.c_hat - p.d, sp.eps)
-    g1, dg1 = _gate_and_slope(x1, p.pump_gate_volume, "activate-above", sp.eps)
-    g2, dg2 = _gate_and_slope(x2, p.x2_target, "activate-below", sp.eps)
     ub = u * p.b
-    return (ub * psi * g1 * g2, ub * (dpsi / p.a1 * g1 + psi * dg1) * g2,
-            ub * psi * g1 * dg2, p.b * psi * g1 * g2)
+    flow = ub * psi * g1   # the left-to-right prefix q_p and its x2 partial share
+    return (flow * g2, ub * (dpsi / p.a1 * g1 + psi * dg1) * g2, flow * dg2,
+            p.b * psi * g1 * g2)
 
 
-def _drain(x2, sp: SmoothParams):
-    """Smooth drainage and its slope in x2."""
-    p = sp.plant
-    g3, dg3 = _gate_and_slope(x2, p.z_cap, "activate-above", sp.eps)
+def _drain(x2, g3, dg3, p: PlantParams):
+    """Smooth drainage and its slope in x2, from the drainage gate g3."""
     level = x2 / p.a2 + p.z_soil
     rate = p.K * p.a2 * level / p.z_soil
     return rate * g3, p.K * p.a2 * (g3 / (p.a2 * p.z_soil) + level / p.z_soil * dg3)
@@ -121,17 +159,21 @@ def _drain(x2, sp: SmoothParams):
 
 def q_out_eps(x1, sp: SmoothParams):
     """Smooth outlet flow: the kink at x1/a1 = z_o is blended over eps."""
-    return _outlet(x1, sp)[0]
+    r, dr = _roots(x1, sp)
+    return _outlet(r[0], dr[0], sp.plant)[0]
 
 
 def q_pump_eps(x1, x2, u, sp: SmoothParams):
     """Smooth pump flow: smooth pump curve times two logistic gates."""
-    return _pump(x1, x2, u, sp)[0]
+    r, dr = _roots(x1, sp)
+    g, dg = _gates(sp, x2, x2, x1)
+    return _pump(r[1], dr[1], g[2], dg[2], g[1], dg[1], u, sp.plant)[0]
 
 
 def q_drain_eps(x2, sp: SmoothParams):
     """Smooth drainage: the Darcy rate gated above the soil capacity."""
-    return _drain(x2, sp)[0]
+    g, dg = _gates(sp, x2)
+    return _drain(x2, g[0], dg[0], sp.plant)[0]
 
 
 def f_eps_rhs(x1, x2, u, w_r, w_e, sp: SmoothParams):
@@ -144,11 +186,15 @@ def f_eps_jacobians(x1, x2, u, w_r, w_e, sp: SmoothParams):
     """The smooth field and its Jacobians in x, u and w, elementwise on
     state arrays: ``(f, Jx, Ju, Jw)`` of shapes (..., 2), (..., 2, 2),
     (..., 2, 1) and (2, 2), where ``...`` is the states' shape. Jw does
-    not depend on the point, so all points share it."""
+    not depend on the point, so all points share it. Both roots are one
+    evaluation and the three gates another; each flow law then reads its
+    entries, with the arithmetic of the single-flow functions."""
     p = sp.plant
-    q_o, dqo = _outlet(x1, sp)
-    q_p, qp_x1, qp_x2, qp_u = _pump(x1, x2, u, sp)
-    q_d, dqd = _drain(x2, sp)
+    r, dr = _roots(x1, sp)
+    g, dg = _gates(sp, x2, x2, x1)
+    q_o, dqo = _outlet(r[0], dr[0], p)
+    q_p, qp_x1, qp_x2, qp_u = _pump(r[1], dr[1], g[2], dg[2], g[1], dg[1], u, p)
+    q_d, dqd = _drain(x2, g[0], dg[0], p)
     f1, f2 = mass_balance(q_o, q_p, q_d, w_r, w_e, p)
     shape = np.shape(f1)
     f = np.empty((*shape, 2))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stormdp.linearize import (
     MAX_HORIZON,
@@ -102,6 +104,20 @@ class TestLinearize:
             f, _, _, _ = f_eps_jacobians(op.x1, op.x2, op.u, op.w_r, op.w_e, SP)
             assert np.array_equal(f, np.array(
                 f_eps_rhs(op.x1, op.x2, op.u, op.w_r, op.w_e, SP), dtype=float))
+
+    def test_batch_equals_scalar_calls_in_the_outlet_band(self):
+        # the outlet root's cubic blend on (a1 z_o, a1 (z_o + eps)] rounds
+        # a scalar state as it rounds the same state in a batch
+        x1 = np.linspace(P.a1 * P.z_o, P.a1 * (P.z_o + SP.eps), 2001)[1:]
+        x2 = np.linspace(0.0, P.cap2, x1.size)
+        u = np.linspace(0.0, 1.0, x1.size)
+        batch = linearize_at(OperatingPoint(x1=x1, x2=x2, u=u, w_r=1e-5, w_e=2e-5), SP)
+        for j in range(x1.size):
+            alone = linearize_at(OperatingPoint(x1=x1[j], x2=x2[j], u=u[j],
+                                                w_r=1e-5, w_e=2e-5), SP)
+            for name in ("A", "B", "b"):
+                assert getattr(batch, name)[j].tobytes() == getattr(alone, name).tobytes(), \
+                    (name, x1[j])
 
     def test_A_close_to_identity_at_unit_step(self):
         # |A - I| <= tau * (Lipschitz bound of the smooth field): at
@@ -308,3 +324,59 @@ class TestBatchedQp:
             condense(lm, 2, [0.0, 0.0, 0.0], np.zeros((2, 2)), 1e-3, P)
         with pytest.raises(ValueError, match="w_dev"):
             condense(lm, 2, [0.0, 0.0], np.zeros((3, 2)), 1e-3, P)
+
+
+def _two_product_condense(lm, M, y0, w_dev):
+    """(G, free) of the forward pass with one product per recursion and
+    step: the reference that the stacked product must reproduce bit for
+    bit."""
+    batch = lm.A.shape[:-2]
+    drive = (w_dev @ lm.C.T
+             + (lm.b - lm.B[..., 0] * np.asarray(lm.op.u)[..., None])[..., None, :])[..., None]
+    h = np.zeros((*batch, 2 * M - 1))
+    free = np.empty((*batch, M))
+    AkB, x = lm.B, y0[..., None]
+    for k in range(M):
+        h[..., k] = AkB[..., 1, 0]
+        AkB = lm.A @ AkB
+        x = lm.A @ x + drive[..., k, :, :]
+        free[..., k] = x[..., 1, 0]
+    n = np.arange(M)
+    return h[..., (n[:, None] - n) % (2 * M - 1)], free
+
+
+EDGE_X1 = st.sampled_from([-0.0, P.a1 * P.z_o, P.pump_gate_volume, P.cap1]) \
+    | st.floats(P.a1 * P.z_o, P.a1 * (P.z_o + SP.eps)) | st.floats(0.0, P.cap1)
+EDGE_X2 = st.sampled_from([-0.0, P.x2_target, P.z_cap]) | st.floats(0.0, P.cap2)
+EDGE_U = st.sampled_from([-0.0, 0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+class TestStackedCondense:
+    """``condense`` advances A^k B and the free state as the two entries of
+    one stacked product; it gives the bits of one product per recursion,
+    for a scalar model and for each model of a batch, at models linearized
+    at edge states and at random ones."""
+
+    @given(points=st.lists(st.tuples(EDGE_X1, EDGE_X2, EDGE_U), min_size=1, max_size=4),
+           M=st.integers(1, 12), tau=st.sampled_from([1.0, 60.0, 3600.0]),
+           seed=st.integers(0, 2 ** 16), per_model=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_same_bits_as_two_products(self, points, M, tau, seed, per_model):
+        rng = np.random.default_rng(seed)
+        sp = SmoothParams(plant=PlantParams(tau=tau), eps=0.5)
+        x1, x2, u = (np.array(c) for c in zip(*points))
+        models = [linearize_at(OperatingPoint(x1=x1, x2=x2, u=u, w_r=1e-6, w_e=4e-5), sp),
+                  synthetic_model(rng.normal(size=(len(u), 2, 2)), rng.normal(size=(len(u), 2, 1)),
+                                  rng.normal(size=(2, 2)), rng.normal(size=(len(u), 2)), u)]
+        models += [linearize_at(OperatingPoint(x1=float(a), x2=float(b), u=float(c),
+                                               w_r=1e-6, w_e=4e-5), sp)
+                   for a, b, c in points]
+        for lm in models:
+            batch = lm.A.shape[:-2]
+            y0 = rng.choice([-0.0, 0.0, 1.0], size=(*batch, 2)) if per_model else np.zeros(2)
+            w_dev = rng.normal(size=(*batch, M, 2) if per_model else (M, 2)) * 1e-4
+            ch = condense(lm, M, y0, w_dev, 1e-3, P)
+            G, free = _two_product_condense(lm, M, y0, w_dev)
+            assert ch.G.flags.c_contiguous and ch.free.flags.c_contiguous
+            assert (ch.G.shape, ch.free.shape) == (G.shape, free.shape)
+            assert ch.G.tobytes() == G.tobytes() and ch.free.tobytes() == free.tobytes()

@@ -73,6 +73,59 @@ class TestGridProjection:
             g.nearest(x1, x2)
 
 
+def _clip_nearest(grid, x1, x2):
+    """``Grid.nearest`` written with np.clip and np.all: the reference
+    that the wrapper-free lookup must reproduce."""
+    tol = 1e-9
+    x1, x2 = np.asarray(x1), np.asarray(x2)
+    if not np.all((x1 >= grid.x1_nodes[0] - tol) & (x1 <= grid.x1_nodes[-1] + tol)
+                  & (x2 >= grid.x2_nodes[0] - tol) & (x2 <= grid.x2_nodes[-1] + tol)):
+        raise ValueError("state outside the grid's state box")
+
+    def nearest_1d(nodes, x):
+        if nodes.size == 1:
+            return np.zeros(x.shape, dtype=int) if x.shape else 0
+        j = np.clip(np.searchsorted(nodes, x), 1, nodes.size - 1)
+        return np.where(x - nodes[j - 1] <= nodes[j] - x, j - 1, j)
+
+    return nearest_1d(grid.x1_nodes, x1) * grid.n2 + nearest_1d(grid.x2_nodes, x2)
+
+
+LOOKUP_GRIDS = [Grid.uniform(41, 41, P), Grid.uniform(9, 9, P),
+                Grid([0.0, 75.0, 150.0], [0.0]), Grid([-1.0, 0.5, 2.0, 40.0], [0.0, 34.4])]
+# every node, the midpoints between nodes (ties), the box's ends 1e-9
+# outside and just past that, -0.0 and NaN
+_NODES = sorted({float(v) for g in LOOKUP_GRIDS for v in (*g.x1_nodes, *g.x2_nodes)})
+LOOKUP_X = (st.sampled_from(_NODES + [(a + b) / 2 for a, b in zip(_NODES, _NODES[1:])]
+                            + [-0.0, -1e-9, -2e-9, P.cap1 + 1e-9, P.cap2 + 1e-9, math.nan])
+            | st.floats(-1.0, P.cap1))
+
+
+class TestWrapperFreeLookup:
+    """``Grid.nearest`` clamps its integer indices with np.minimum and
+    np.maximum and reduces the box check with ``.all()``: the same index,
+    or the same refusal, as the np.clip / np.all form, on Python floats,
+    numpy scalars and arrays."""
+
+    @given(points=st.lists(st.tuples(LOOKUP_X, LOOKUP_X), min_size=1, max_size=5),
+           grid=st.sampled_from(LOOKUP_GRIDS))
+    @settings(max_examples=200, deadline=None)
+    def test_same_index_as_clip_form(self, points, grid):
+        calls = [tuple(np.array(c) for c in zip(*points))]
+        calls += [tuple(kind(v) for v in point) for point in points
+                  for kind in (float, np.float64)]
+        for x1, x2 in calls:
+            try:
+                want = _clip_nearest(grid, x1, x2)
+            except ValueError:
+                with pytest.raises(ValueError, match="outside the grid's state box"):
+                    grid.nearest(x1, x2)
+                continue
+            got = grid.nearest(x1, x2)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            assert np.shape(got) == np.shape(want)
+
+
 class TestDisturbanceModel:
     def test_invariants(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stormdp import plant, riskdp, sim
+from stormdp import control, plant, riskdp, sim
 from stormdp.linearize import NearSingularSystem
 from stormdp.plant import PlantParams
 from stormdp.sim import (
@@ -395,6 +395,42 @@ class TestCompare:
         # arrays, which the filter skips; every other call is a
         # closed-loop step, one per step for all 9 cells
         assert [s for s in shapes if len(s) <= 1] == [(9,)] * 50
+
+    def test_onoff_specs_share_one_call_per_decision(self, monkeypatch):
+        # every on/off spec's columns, v > 1 among them, go through one
+        # onoff_step call per decision step, each column at its own rate,
+        # and each is its cell run alone in every Trace field
+        calls, traces = [], []
+        onoff_step, closed_loop = control.onoff_step, sim._closed_loop
+
+        def counting_onoff(x1, x2, v, p):
+            calls.append(np.shape(x1))
+            return onoff_step(x1, x2, v, p)
+
+        def keeping_loop(*args):
+            traces.append(closed_loop(*args))
+            return traces[-1]
+
+        monkeypatch.setattr(control, "onoff_step", counting_onoff)
+        monkeypatch.setattr(sim, "_closed_loop", keeping_loop)
+        starts = standard_initial_states(P)
+        specs = [ControllerSpec(kind="onoff", v=v) for v in (0.2, 0.5, 1.0, 2.5)] + [DP_9]
+        w, N, period = wet_12h(dt=60.0), 120, 3 * P.tau
+        rows = compare(starts, specs, w, N, P, control_period=period)
+        assert [r.status for r in rows] == ["ok"] * 15
+        assert calls == [(12,)] * (N // 3)
+        batch, = traces
+        columns = [sim._column(batch, j) for j in range(batch.u.shape[1])]
+        cells = [(name, x0, spec) for name, x0 in starts.items() for spec in specs]
+        for row, (name, x0, spec) in zip(rows, cells):
+            if spec.kind != "onoff":
+                continue
+            alone = run_scenario(Scenario(name=name, x0=x0, N=N, controller=spec,
+                                          weather=w, plant=P, control_period=period))
+            assert (row.cumulative_deviation, row.sum_u_sq) == (
+                cumulative_deviation(alone, P), float((alone.u ** 2).sum()))
+            assert any(all(getattr(c, f.name).tobytes() == getattr(alone, f.name).tobytes()
+                           for f in fields(Trace)) for c in columns), (name, spec.v)
 
     def test_failing_batched_cell_fails_alone(self):
         starts = standard_initial_states(P)

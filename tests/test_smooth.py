@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stormdp import smooth
-from stormdp.plant import PlantParams, f_rhs, q_drain, q_out, q_pump
+from stormdp.plant import PlantParams, f_rhs, mass_balance, q_drain, q_out, q_pump
 from stormdp.smooth import (
+    EXP_CLAMP,
     SmoothParams,
+    f_eps_jacobians,
     f_eps_rhs,
     q_drain_eps,
     q_out_eps,
@@ -207,3 +211,97 @@ class TestSmoothFlows:
         assert np.all(q_pump_eps(x1, x2, 1.0, SP)
                       <= float(np.max(q_pump(P.cap1, 0.0, 1.0, P))) + slack)
         assert np.all(q_drain_eps(x2, SP) <= float(q_drain(P.cap2, P)) + slack)
+
+
+def _per_law_sqrt(y, eps):
+    y = np.asarray(y, dtype=float)
+    yc = np.maximum(y, 0.0)
+    low = (2.0 / 3.0) * np.sqrt(eps)
+    high = np.sqrt(np.maximum(yc, eps))
+    value = np.where(y <= 0.0, low,
+                     np.where(y <= eps, np.power(yc, 1.5) / (3.0 * eps) + low, high))
+    slope = np.where(y <= 0.0, 0.0, np.where(y <= eps, np.sqrt(yc) / (2.0 * eps), 0.5 / high))
+    return value, slope
+
+
+def _per_law_gate(z, threshold, sense, eps):
+    z = np.asarray(z, dtype=float)
+    if sense == "activate-above":
+        e, sign = (threshold - z) / eps, 1.0
+    else:
+        e, sign = (z - threshold) / eps, -1.0
+    s = 1.0 / (1.0 + np.exp(np.clip(e, -EXP_CLAMP, EXP_CLAMP)))
+    return s, sign * s * (1.0 - s) / eps
+
+
+def _per_law_jacobians(x1, x2, u, w_r, w_e, sp):
+    """The field and its Jacobians with every root and gate evaluated on
+    its own, one flow law at a time: the reference that the stacked
+    evaluation must reproduce bit for bit."""
+    p = sp.plant
+    r, dr = _per_law_sqrt(x1 / p.a1 - p.z_o, sp.eps)
+    q_o, dqo = p.c_out * r, p.c_out * dr / p.a1
+    psi, dpsi = _per_law_sqrt(x1 / p.a1 + p.c_hat - p.d, sp.eps)
+    g1, dg1 = _per_law_gate(x1, p.pump_gate_volume, "activate-above", sp.eps)
+    g2, dg2 = _per_law_gate(x2, p.x2_target, "activate-below", sp.eps)
+    ub = u * p.b
+    q_p, qp_x1 = ub * psi * g1 * g2, ub * (dpsi / p.a1 * g1 + psi * dg1) * g2
+    qp_x2, qp_u = ub * psi * g1 * dg2, p.b * psi * g1 * g2
+    g3, dg3 = _per_law_gate(x2, p.z_cap, "activate-above", sp.eps)
+    level = x2 / p.a2 + p.z_soil
+    q_d = p.K * p.a2 * level / p.z_soil * g3
+    dqd = p.K * p.a2 * (g3 / (p.a2 * p.z_soil) + level / p.z_soil * dg3)
+    f1, f2 = mass_balance(q_o, q_p, q_d, w_r, w_e, p)
+    return (np.stack([f1, f2], axis=-1),
+            np.stack([np.stack([-dqo - qp_x1, -qp_x2], axis=-1),
+                      np.stack([qp_x1, qp_x2 - dqd], axis=-1)], axis=-2),
+            np.stack([-qp_u, qp_u], axis=-1)[..., None],
+            np.array([[p.a_in, 0.0], [p.a2, -1.0]]))
+
+
+# each root's cubic band and its ends, each gate's threshold, states far
+# enough from a threshold that eps = 1e-3 saturates the gate past
+# EXP_CLAMP, and -0.0; the pump-curve root's band lies at negative x1
+_EPS = [0.5, 0.05, 1e-3]
+BAND_X1 = st.sampled_from([P.a1 * P.z_o, P.a1 * (P.z_o + 0.5), P.a1 * (P.d - P.c_hat)]) \
+    | st.floats(P.a1 * P.z_o, P.a1 * (P.z_o + 0.5)) \
+    | st.floats(P.a1 * (P.d - P.c_hat), P.a1 * (P.d - P.c_hat + 0.5))
+EDGE_X1 = BAND_X1 | st.sampled_from([-0.0, 0.0, P.pump_gate_volume, P.cap1, 1e6]) \
+    | st.floats(0.0, P.cap1)
+EDGE_X2 = st.sampled_from([-0.0, 0.0, P.x2_target, P.z_cap, -1e3, 1e6]) | st.floats(0.0, P.cap2)
+EDGE_U = st.sampled_from([-0.0, 0.0, 1.0]) | st.floats(0.0, 1.0)
+EDGE_W = st.sampled_from([-0.0, 0.0]) | st.floats(0.0, 1e-4)
+
+
+class TestStackedForms:
+    """``f_eps_jacobians`` evaluates both roots as one stack and the three
+    gates as another; it gives the bits of the per-law form on Python
+    floats, on numpy scalars and on each element of an array."""
+
+    @given(points=st.lists(st.tuples(EDGE_X1, EDGE_X2, EDGE_U, EDGE_W, EDGE_W),
+                           min_size=1, max_size=6),
+           eps=st.sampled_from(_EPS))
+    @settings(max_examples=200, deadline=None)
+    def test_same_bits_as_per_law_form(self, points, eps):
+        sp = SmoothParams(plant=P, eps=eps)
+        columns = [np.array(c) for c in zip(*points)]
+        got = f_eps_jacobians(*columns, sp)
+        assert _bits(got) == _bits(_per_law_jacobians(*columns, sp))
+        for point in points:
+            for kind in (float, np.float64):
+                args = [kind(v) for v in point]
+                assert _bits(f_eps_jacobians(*args, sp)) \
+                    == _bits(_per_law_jacobians(*args, sp)), kind
+
+    def test_edges_are_reached(self):
+        # the strategies reach both roots' cubic bands, and gates
+        # saturated past the exponent clamp
+        outlet = P.a1 * (P.z_o + 0.25) / P.a1 - P.z_o
+        pump_curve = P.a1 * (P.d - P.c_hat + 0.25) / P.a1 + P.c_hat - P.d
+        assert 0.0 < outlet <= 0.5 and 0.0 < pump_curve <= 0.5
+        assert (P.cap1 - P.pump_gate_volume) / 1e-3 > EXP_CLAMP
+        assert (1e6 - P.z_cap) / 1e-3 > EXP_CLAMP and (P.x2_target + 1e3) / 1e-3 > EXP_CLAMP
+
+
+def _bits(values):
+    return [np.asarray(v).tobytes() for v in values]
