@@ -54,13 +54,17 @@ def _controller_spec(args, **overrides) -> ControllerSpec:
 def _add_common(parser):
     parser.add_argument("--config", help="JSON plant/config file")
     parser.add_argument("--weather", help="weather CSV (t_s,w_r_mps,w_e_m3ps)")
-    parser.add_argument("--out", default="-", help="output path ('-' = stdout)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed recorded in outputs (pipeline is deterministic)")
     parser.add_argument("--fast", action="store_true",
                         help="coarse preset: tau = 60 s, N = 720")
     parser.add_argument("-N", "--steps", dest="N", type=int, default=None,
                         help="simulation horizon in steps")
+
+
+def _add_outputs(parser):
+    """Flags of the commands that write outputs: all but ``lint``."""
+    parser.add_argument("--out", default="-", help="output path ('-' = stdout)")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seed recorded in outputs (pipeline is deterministic)")
 
 
 def _add_control_period(parser):
@@ -197,6 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run one closed-loop scenario")
     _add_common(p_sim)
+    _add_outputs(p_sim)
     p_sim.add_argument("--controller", dest="kind", choices=["mpc", "onoff", "dp"],
                        default="mpc")
     _add_dp_flags(p_sim)
@@ -211,12 +216,14 @@ def build_parser() -> argparse.ArgumentParser:
     dp_sub = p_dp.add_subparsers(dest="dp_command", required=True)
     p_solve = dp_sub.add_parser("solve", help="solve the risk-averse DP")
     _add_common(p_solve)
+    _add_outputs(p_solve)
     _add_dp_flags(p_solve)
     _spec_flag(p_solve, "--atoms", "n_atoms", "disturbance atoms", int)
     p_solve.set_defaults(func=cmd_dp_solve)
 
     p_cmp = sub.add_parser("compare", help="controller comparison grid")
     _add_common(p_cmp)
+    _add_outputs(p_cmp)
     _add_dp_flags(p_cmp)
     _add_mpc_flags(p_cmp)
     p_cmp.add_argument("--onoff-v", type=float, nargs="+",

@@ -30,6 +30,7 @@ __all__ = [
     "q_out",
     "q_pump_max",
     "pump_gate",
+    "check_control",
     "q_pump",
     "q_drain",
     "mass_balance",
@@ -160,11 +161,17 @@ def pump_gate(x1, x2, p: PlantParams):
     return (x2 / p.a2 < p.z_veg) & (x1 / p.a1 >= p.z_pump + p.z_H)
 
 
+def check_control(u) -> None:
+    """Raise unless every control fraction u lies in [0, 1], NaN refused
+    too: the check of the exact and the smooth pump flow."""
+    if not np.logical_and(u >= 0.0, u <= 1.0).all():
+        raise ValueError("control fraction u must lie in [0, 1]")
+
+
 def q_pump(x1, x2, u, p: PlantParams):
     """Pump flow (m^3/s): a fraction u of the maximum where
     :func:`pump_gate` is open, else zero."""
-    if not np.logical_and(u >= 0.0, u <= 1.0).all():   # refuses NaN too
-        raise ValueError("control fraction u must lie in [0, 1]")
+    check_control(u)
     return u * q_pump_max(x1, p) * pump_gate(x1, x2, p)
 
 

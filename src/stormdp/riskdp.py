@@ -83,8 +83,8 @@ class Grid:
         for nodes in (self.x1_nodes, self.x2_nodes):
             if nodes.ndim != 1 or nodes.size < 1:
                 raise ValueError("each dimension needs at least one breakpoint")
-            if nodes.size > 1 and np.any(np.diff(nodes) <= 0):
-                raise ValueError("breakpoints must be strictly increasing")
+            if not (np.isfinite(nodes).all() and (np.diff(nodes) > 0).all()):
+                raise ValueError("breakpoints must be finite and strictly increasing")
         self.n1 = self.x1_nodes.size
         self.n2 = self.x2_nodes.size
         self.nnodes = self.n1 * self.n2
@@ -258,7 +258,10 @@ class _Tables:
     plant into the dense table; only its distinct rows are kept.
 
     A stage cost that does not depend on t is evaluated once, here; a
-    time-varying one is evaluated on each ``stage_cost`` call.
+    time-varying one is evaluated on each ``stage_cost`` call. ``kept``
+    holds a fixed cost on the ``cand`` pairs, shape (nnodes, k), and its
+    least and greatest entry over every (node, action); it is None under
+    a time-varying cost.
 
     ``cand`` lists, for every node, the actions that can win the minimum
     of ``_backup``, ascending, padded to a common width k by repeating
@@ -281,7 +284,7 @@ class _Tables:
         self.rows = np.resize(distinct, (-(-distinct.shape[0] // n_actions), n_actions,
                                          dm.natoms))
         self.row_of = row_of.reshape(grid.nnodes, n_actions)
-        self._fixed_cost = self._kept = None
+        self._fixed_cost = self.kept = None
         if costs.time_varying:
             self.cand = np.broadcast_to(np.arange(n_actions), self.row_of.shape)
             self.cand_row = self.row_of
@@ -289,8 +292,8 @@ class _Tables:
             cost = self._fixed_cost = self.stage_cost(0)
             self.cand = _undominated(self.row_of, cost)
             self.cand_row = np.take_along_axis(self.row_of, self.cand, axis=1)
-            self._kept = (np.take_along_axis(cost, self.cand, axis=1),
-                          float(cost.min()), float(cost.max()))
+            self.kept = (np.take_along_axis(cost, self.cand, axis=1),
+                         float(cost.min()), float(cost.max()))
 
     @classmethod
     def from_plant(cls, grid: Grid, actions, dm: DisturbanceModel, costs: CostSpec,
@@ -312,14 +315,6 @@ class _Tables:
                                       np.clip(x2n, grid.x2_nodes[0], grid.x2_nodes[-1]))
         return cls(grid, actions, dm, costs, succ)
 
-    @property
-    def succ(self) -> np.ndarray:
-        """The dense successor table, shape (nnodes, nA, natoms), rebuilt
-        from the rows on each read."""
-        succ = self.rows.reshape(-1, self.dm.natoms)[self.row_of]
-        succ.flags.writeable = False
-        return succ
-
     def stage_cost(self, t: int) -> np.ndarray:
         """c_t(x, u) on every node and action, shape (nnodes, nA)."""
         if self._fixed_cost is not None:
@@ -328,14 +323,6 @@ class _Tables:
                              self.actions[None, :])
         return np.broadcast_to(np.asarray(c, dtype=float),
                                (self.grid.nnodes, self.actions.size))
-
-    def kept_cost(self, cost: np.ndarray):
-        """The stage cost ``cost`` from ``stage_cost`` on the ``cand``
-        pairs, shape (nnodes, k), and its least and greatest entry over
-        every (node, action). A fixed cost's are gathered once, here."""
-        if self._kept is not None:
-            return self._kept
-        return cost, cost.min(), cost.max()
 
     def terminal_cost(self) -> np.ndarray:
         """The terminal cost on every node, shape (nnodes,)."""
@@ -422,9 +409,10 @@ def _backup(V_next, cost, theta, tables: _Tables):
     Raises if any (node, action) value, kept or not, fails to be finite.
     The least and greatest cost plus the least and greatest psi bound
     every value; where either sum is not finite, every value is computed
-    and checked.
+    and checked. A fixed cost's candidate entries and bounds are the ones
+    ``tables.kept`` gathered once; a time-varying cost keeps every action.
     """
-    kept, c_lo, c_hi = tables.kept_cost(cost)
+    kept, c_lo, c_hi = tables.kept or (cost, cost.min(), cost.max())
     with np.errstate(over="ignore", invalid="ignore"):   # reported just below
         psi = _row_psi(V_next, theta, tables)
         q = kept + psi.take(tables.cand_row)
@@ -554,8 +542,7 @@ def risk_functional(Z, probs, theta: float) -> float:
 
     ``probs`` is a distribution over ``Z``; zero-probability outcomes add nothing.
     """
-    if not theta < 0:
-        raise ValueError("theta must be strictly negative")
+    RiskParams(theta)   # refuses theta >= 0
     Z = np.asarray(Z, dtype=float)
     probs = _probabilities(probs, Z.shape)
     kept = probs > 0
@@ -568,8 +555,8 @@ def lipschitz_regularize(h, dist, m: float) -> np.ndarray:
     Produces an m-Lipschitz minorant of h that increases pointwise in m
     and recovers h once m clears the finite-grid slope threshold.
     """
-    if m < 0:
-        raise ValueError("regularization slope m must be nonnegative")
+    if not 0 <= m < np.inf:   # refuses NaN too
+        raise ValueError("regularization slope m must be finite and nonnegative")
     h = np.asarray(h, dtype=float)
     dist = np.asarray(dist, dtype=float)
     n = h.size

@@ -98,7 +98,13 @@ class WeatherSeries:
         return rows
 
     def resample(self, dt: float) -> "WeatherSeries":
-        """Piecewise-linear resampling to step dt, endpoint-exact."""
+        """Piecewise-linear resampling to step dt from the first sample.
+
+        The new series has round(span / dt) + 1 samples, so it ends at the
+        whole step nearest the last sample: exactly there when the span
+        is a whole number of steps, else before it or past it. Past it the
+        last value is held: t = 0, 50, 100 s at dt = 60 s gives 0, 60,
+        120 s, with the value at 120 s that of 100 s."""
         if dt <= 0:
             raise ValueError("sample period must be positive")
         n = int(round((self.t[-1] - self.t[0]) / dt)) + 1
@@ -132,9 +138,7 @@ def load_weather_csv(path, tau: float | None = None) -> WeatherSeries:
                 rows.append([float(c) for c in row])
             except ValueError:
                 raise ValueError(f"line {lineno}: non-numeric value") from None
-    if not rows:
-        raise ValueError("no samples")
-    data = np.asarray(rows)
+    data = np.asarray(rows, dtype=float).reshape(-1, 3)   # WeatherSeries refuses no rows
     series = WeatherSeries(t=data[:, 0], w_r=data[:, 1], w_e=data[:, 2])
     return series.resample(tau) if tau is not None else series
 
@@ -449,9 +453,12 @@ def compare(initial_states: dict[str, tuple[float, float]],
     the columns of every on/off spec, each at its own rate. A column has
     the bits of its cell run alone. The rows' ``runtime_s`` is the
     batch's wall time split evenly across its columns. Failing cells are
-    marked and the rest of the grid still runs: if the batch fails, its
-    cells run again one at a time on the controllers already built, which
-    keep no state, so each row keeps its own status.
+    marked and the rest of the grid still runs: a cell whose spec builds
+    no controller or whose scenario is refused (a start outside the state
+    box) runs alone and reports why, and the other cells stay in the
+    batch; if the batch fails, its cells run again one at a time on the
+    controllers already built, which keep no state, so each row keeps
+    its own status.
     """
     hold = hold_steps(p.tau, control_period)
     rows = {}
@@ -463,11 +470,13 @@ def compare(initial_states: dict[str, tuple[float, float]],
     for i, spec in enumerate(controllers):
         try:
             step_fns[i] = make_controller(spec, p, weather, N, hold)
-            scs = [Scenario(name=name, x0=x0, N=N, controller=spec, weather=weather, plant=p,
-                            control_period=control_period)
-                   for name, x0 in initial_states.items()]
         except Exception:
             continue   # its cells run one at a time below and report the error
+        scs = []
+        for name, x0 in initial_states.items():
+            with contextlib.suppress(Exception):   # a refused cell runs alone below
+                scs.append(Scenario(name=name, x0=x0, N=N, controller=spec, weather=weather,
+                                    plant=p, control_period=control_period))
         if spec.kind == "onoff":
             onoff += [((sc, i), spec.v) for sc in scs]
             continue

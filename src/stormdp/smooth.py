@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .plant import PlantParams, mass_balance
+from .plant import PlantParams, check_control, mass_balance
 
 __all__ = [
     "SmoothParams",
@@ -142,8 +142,7 @@ def _outlet(root, slope, p: PlantParams):
 def _pump(psi, dpsi, g1, dg1, g2, dg2, u, p: PlantParams):
     """Smooth pump flow and its partials in x1, x2 and u, from the
     pump-curve root psi and the suction and moisture gates g1 and g2."""
-    if not np.logical_and(u >= 0.0, u <= 1.0).all():   # refuses NaN too
-        raise ValueError("control fraction u must lie in [0, 1]")
+    check_control(u)
     ub = u * p.b
     flow = ub * psi * g1   # the left-to-right prefix q_p and its x2 partial share
     return (flow * g2, ub * (dpsi / p.a1 * g1 + psi * dg1) * g2, flow * dg2,

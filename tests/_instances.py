@@ -134,11 +134,10 @@ def path_enumeration_value(inst: TinyInstance, policy_mu: np.ndarray,
                                                          theta, start))
 
 
-def enumerate_policies(inst: TinyInstance):
-    """Every Markov policy as an (N, nnodes) action-index array."""
-    n_entries = inst.N * inst.grid.nnodes
-    for flat in itertools.product(range(inst.actions.size), repeat=n_entries):
-        yield np.asarray(flat, dtype=np.int64).reshape(inst.N, inst.grid.nnodes)
+def dense_succ(tables) -> np.ndarray:
+    """The dense successor table of ``riskdp._Tables``, shape (nnodes, nA,
+    natoms): each (node, action)'s row read back from the blocks."""
+    return tables.rows.reshape(-1, tables.dm.natoms)[tables.row_of]
 
 
 def dp_spec_inputs(p: PlantParams, w_r, w_e):

@@ -261,6 +261,14 @@ class TestLint:
         assert code == 2
         assert f"weather column '{column}' must be finite" in err
 
+    @pytest.mark.parametrize("flag", ["--out", "--seed"])
+    def test_output_flags_are_usage_errors(self, capsys, flag):
+        # lint writes nothing, so it takes neither output flag
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", "--config", "plant.json", flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--config", "--weather"])
     def test_bad_horizon_blames_N(self, tmp_path, capsys, flag):
         # simulate -N 0 is refused, whichever files come with it

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _instances import (
+    dense_succ,
     dp_spec_inputs,
     lookup_cost,
     oracle_instance,
@@ -71,6 +72,16 @@ class TestGridProjection:
         g = Grid([0.0, 1.0, 2.0], [0.0, 1.0])
         with pytest.raises(ValueError, match="outside the grid's state box"):
             g.nearest(x1, x2)
+
+
+    @pytest.mark.parametrize("nodes", [[0.0, math.nan, 1.0], [0.0, math.inf], [-math.inf],
+                                       [math.nan], [0.0, 1.0, 1.0], [1.0, 0.0]])
+    def test_bad_breakpoints_rejected(self, nodes):
+        # NaN fails the increasing check's comparison, so it needs its own
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            Grid(nodes, [0.0])
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            Grid([0.0], nodes)
 
 
 def _clip_nearest(grid, x1, x2):
@@ -233,7 +244,7 @@ class TestPerNodeKernel:
         V = offset + rng.uniform(0.0, gamma_range / gamma, shape[0])
         q, row_shifted = _q_and_kernel(tables, V, theta)
         assert not row_shifted
-        ref = riskdp._psi(V[tables.succ], tables.dm.p, theta)
+        ref = riskdp._psi(V[dense_succ(tables)], tables.dm.p, theta)
         # both kernels round at the scale of |V'| and of 1/gamma
         scale = np.abs(V).max() + 1.0 / gamma
         np.testing.assert_allclose(q, ref, rtol=1e-12, atol=1e-12 * scale)
@@ -248,7 +259,7 @@ class TestPerNodeKernel:
         V = np.linspace(0.0, gamma_range / 5.0, 6)
         with np.errstate(over="raise"):
             q, shifted = _q_and_kernel(tables, V, theta)
-            ref = cost + riskdp._psi(V[tables.succ], tables.dm.p, theta)
+            ref = cost + riskdp._psi(V[dense_succ(tables)], tables.dm.p, theta)
         assert shifted == row_shifted
         assert np.all(np.isfinite(q))
         np.testing.assert_allclose(q, ref, rtol=1e-12)
@@ -679,6 +690,12 @@ class TestLipschitzRegularizer:
         hm = lipschitz_regularize(h, dist, 2.0)
         assert np.allclose(hm, [0, 0, 0, 2 * 1, 2 * 2, 2 * 3])
         # the ramp climbs with slope m from the nearest low node, capped at h
+
+    @pytest.mark.parametrize("m", [-1.0, math.inf, math.nan])
+    def test_rejects_bad_slope(self, m):
+        _, dist, h = self._line(np.random.default_rng(43))
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            lipschitz_regularize(h, dist, m)
 
     def test_rejects_bad_metric(self):
         h = np.zeros(3)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _instances import dp_spec_inputs, oracle_instance
+from _instances import dense_succ, dp_spec_inputs, oracle_instance
 from stormdp import plant, riskdp
 from stormdp.plant import PlantParams
 from stormdp.riskdp import (
@@ -48,7 +48,7 @@ def full_gather_q_values(V_next, cost, theta, succ, p):
 
 
 def _full_gather(V_next, cost, theta, tables):
-    return full_gather_q_values(V_next, cost, theta, tables.succ, tables.dm.p)
+    return full_gather_q_values(V_next, cost, theta, dense_succ(tables), tables.dm.p)
 
 
 def dense_backup(V_next, cost, theta, tables):
@@ -154,7 +154,7 @@ class TestFullGatherBits:
                               p=rng.dirichlet(np.ones(n_atoms)))
         grid = Grid(np.linspace(0.0, 1.0, n_nodes), [0.0])
         tables = riskdp._Tables(grid, np.linspace(0.0, 1.0, n_actions), dm, costs, succ)
-        assert np.array_equal(tables.succ, succ)
+        assert np.array_equal(dense_succ(tables), succ)
         theta, (lo, hi) = KERNELS[kernel]
         gamma = 1.0 if theta is None else -theta / 2.0
         u = rng.uniform(0.0, 1.0, n_nodes)
@@ -344,7 +344,7 @@ class TestRowCount:
         weather = wet_12h(dt=60.0)
         tables = _plant_tables(PlantParams(tau=60.0), weather.w_r[:720], weather.w_e[:720])
         assert tables.row_of.shape == (41 * 41, 11)
-        assert np.unique(tables.succ.reshape(-1, 3), axis=0).shape[0] == 1517
+        assert np.unique(dense_succ(tables).reshape(-1, 3), axis=0).shape[0] == 1517
         assert np.unique(tables.row_of).size == 1517
         # the blocks hold each distinct row once, plus the last block's padding
         assert tables.rows.shape == (138, 11, 3)
@@ -363,20 +363,13 @@ class TestRowCount:
         assert tables.dm.natoms == 3
         nodes = np.arange(41 * 41)
         assert tables.rows.shape == (153, 11, 3)
-        assert np.array_equal(tables.succ,
+        assert np.array_equal(dense_succ(tables),
                               np.broadcast_to(nodes[:, None, None], (nodes.size, 11, 3)))
         assert np.array_equal(tables.row_of, np.repeat(nodes[:, None], 11, axis=1))
         # so action 0, the cheapest, is the only one each node keeps
         assert tables.cand.shape == (41 * 41, 1)
         assert not tables.cand.any()
         assert np.array_equal(tables.cand_row[:, 0], nodes)
-
-    def test_dense_table_is_read_only(self):
-        tables = _plant_tables(PlantParams(tau=60.0), np.zeros(3), np.zeros(3))
-        with pytest.raises(AttributeError):
-            tables.succ = np.zeros_like(tables.succ)
-        with pytest.raises(ValueError):
-            tables.succ[0, 0, 0] = 1
 
 
 def broadcast_tables(grid, actions, dm, costs, p):
@@ -405,9 +398,10 @@ class TestOneActionAtATime:
     def test_same_tables(self, inputs):
         args = inputs()
         ours, ref = riskdp._Tables.from_plant(*args), broadcast_tables(*args)
-        for name in ("succ", "rows", "row_of", "cand", "cand_row"):
+        for name in ("rows", "row_of", "cand", "cand_row"):
             assert getattr(ours, name).dtype == getattr(ref, name).dtype, name
             assert np.array_equal(getattr(ours, name), getattr(ref, name)), name
+        assert np.array_equal(dense_succ(ours), dense_succ(ref))
 
     def test_one_step_per_action(self, monkeypatch):
         calls = []

@@ -104,6 +104,15 @@ class TestWeatherSeries:
         assert r.w_r[0] == 0.0 and r.w_r[-1] == pytest.approx(3.6e-3)
         assert r.w_r[1800] == pytest.approx(1.8e-3)
 
+    @pytest.mark.parametrize("t, tq, w_r", [
+        ([0.0, 50.0, 100.0], [0.0, 60.0, 120.0], [0.0, 1.2, 2.0]),   # ends past: holds
+        ([0.0, 40.0, 80.0], [0.0, 60.0], [0.0, 1.5]),                # ends before
+    ], ids=["rounds-up", "rounds-down"])
+    def test_resample_ends_at_the_nearest_whole_step(self, t, tq, w_r):
+        r = WeatherSeries(t=t, w_r=[0.0, 1.0, 2.0], w_e=[0.0] * 3).resample(60.0)
+        assert r.t.tolist() == tq
+        assert r.w_r.tolist() == pytest.approx(w_r)
+
     def test_forecast_holds_last_sample(self):
         s = WeatherSeries(t=[0.0, 60.0, 120.0], w_r=[1.0, 2.0, 3.0],
                           w_e=[4.0, 5.0, 6.0])
@@ -442,6 +451,27 @@ class TestCompare:
         for row, (name, x0) in zip(rows[1::2], starts.items()):
             assert row.status == "ok"
             assert (row.cumulative_deviation, row.sum_u_sq) == _alone(name, x0, good, w, 50)
+
+    def test_bad_start_leaves_the_other_cells_in_one_loop(self, monkeypatch):
+        shapes = []
+        closed_loop = sim._closed_loop
+
+        def spying_loop(x0, *args):
+            shapes.append(np.shape(x0[0]))
+            return closed_loop(x0, *args)
+
+        monkeypatch.setattr(sim, "_closed_loop", spying_loop)
+        starts = {**standard_initial_states(P), "bad": (-1.0, 0.0)}
+        specs = [MPC, ControllerSpec(kind="onoff", v=0.5), ControllerSpec(kind="onoff", v=0.2)]
+        w = wet_12h(dt=60.0)
+        rows = compare(starts, specs, w, 30, P)
+        assert shapes == [(9,)]
+        assert [r.status for r in rows[-3:]] == [
+            "failed: ValueError: initial state outside the clamped state box"] * 3
+        cells = [(name, x0, spec) for name, x0 in starts.items() for spec in specs]
+        for row, (name, x0, spec) in zip(rows[:-3], cells):
+            assert row.status == "ok"
+            assert (row.cumulative_deviation, row.sum_u_sq) == _alone(name, x0, spec, w, 30)
 
     def test_dp_solved_once_per_compare(self, monkeypatch):
         calls = []
