@@ -453,12 +453,14 @@ def compare(initial_states: dict[str, tuple[float, float]],
     the columns of every on/off spec, each at its own rate. A column has
     the bits of its cell run alone. The rows' ``runtime_s`` is the
     batch's wall time split evenly across its columns. Failing cells are
-    marked and the rest of the grid still runs: a cell whose spec builds
-    no controller or whose scenario is refused (a start outside the state
-    box) runs alone and reports why, and the other cells stay in the
-    batch; if the batch fails, its cells run again one at a time on the
-    controllers already built, which keep no state, so each row keeps
-    its own status.
+    marked and the rest of the grid still runs. A start the scenario
+    refuses (one outside the state box) fails each of its cells with
+    that error and a runtime of 0 s, whatever the cell's spec. A spec
+    whose controller fails to build is built once, and its error and the
+    build's wall time are reported on each of its cells whose start was
+    accepted. Neither takes the other cells out of the batch; if the
+    batch fails, its cells run again one at a time on the controllers
+    already built, which keep no state, so each row keeps its own status.
     """
     hold = hold_steps(p.tau, control_period)
     rows = {}
@@ -468,15 +470,20 @@ def compare(initial_states: dict[str, tuple[float, float]],
     onoff = []    # per on/off column: its cell and its rate
     start = time.perf_counter()
     for i, spec in enumerate(controllers):
-        try:
-            step_fns[i] = make_controller(spec, p, weather, N, hold)
-        except Exception:
-            continue   # its cells run one at a time below and report the error
         scs = []
         for name, x0 in initial_states.items():
-            with contextlib.suppress(Exception):   # a refused cell runs alone below
+            try:
                 scs.append(Scenario(name=name, x0=x0, N=N, controller=spec, weather=weather,
                                     plant=p, control_period=control_period))
+            except Exception as exc:
+                rows[name, i] = _row(name, spec, exc, 0.0, p)
+        built = time.perf_counter()
+        try:
+            step_fns[i] = make_controller(spec, p, weather, N, hold)
+        except Exception as exc:
+            runtime = time.perf_counter() - built
+            rows.update({(sc.name, i): _row(sc.name, spec, exc, runtime, p) for sc in scs})
+            continue
         if spec.kind == "onoff":
             onoff += [((sc, i), spec.v) for sc in scs]
             continue
@@ -496,40 +503,31 @@ def compare(initial_states: dict[str, tuple[float, float]],
             trace = _closed_loop(tuple(np.array([sc.x0 for sc, _ in cells]).T), N,
                                  step_fn, weather, p, hold)
         except Exception:
-            pass   # each cell runs again alone below and reports its own failure
+            for sc, i in cells:   # each cell alone, to report its own failure
+                alone = time.perf_counter()
+                try:
+                    result = run_scenario(sc, step_fns[i])
+                except Exception as exc:
+                    result = exc
+                rows[sc.name, i] = _row(sc.name, sc.controller, result,
+                                        time.perf_counter() - alone, p)
         else:
             runtime = (time.perf_counter() - start) / len(cells)
             for j, (sc, i) in enumerate(cells):
                 rows[sc.name, i] = _row(sc.name, sc.controller, _column(trace, j),
                                         runtime, p)
-    for name, x0 in initial_states.items():
-        for i, spec in enumerate(controllers):
-            if (name, i) not in rows:
-                rows[name, i] = _run_cell(name, x0, spec, weather, N, p, control_period,
-                                          step_fns.get(i))
     return [rows[name, i] for name in initial_states for i in range(len(controllers))]
 
 
-def _run_cell(name, x0, spec, weather, N, p, control_period, step_fn=None) -> ComparisonRow:
-    """One comparison cell run alone; a failure becomes its status."""
-    start = time.perf_counter()
-    try:
-        trace = run_scenario(Scenario(name=name, x0=x0, N=N, controller=spec,
-                                      weather=weather, plant=p,
-                                      control_period=control_period), step_fn)
-    except Exception as exc:
-        return ComparisonRow(scenario=name, controller=spec.kind, params=spec.label,
-                             cumulative_deviation=math.nan, sum_u_sq=math.nan,
-                             status=f"failed: {describe_failure(exc)}",
-                             runtime_s=time.perf_counter() - start)
-    return _row(name, spec, trace, time.perf_counter() - start, p)
-
-
-def _row(name, spec, trace, runtime_s, p) -> ComparisonRow:
-    return ComparisonRow(scenario=name, controller=spec.kind, params=spec.label,
-                         cumulative_deviation=cumulative_deviation(trace, p),
-                         sum_u_sq=float((trace.u ** 2).sum()), status="ok",
-                         runtime_s=runtime_s)
+def _row(name, spec, result, runtime_s, p) -> ComparisonRow:
+    """A cell's row from its trace, or from the error that ended it."""
+    failed = isinstance(result, Exception)
+    return ComparisonRow(
+        scenario=name, controller=spec.kind, params=spec.label,
+        cumulative_deviation=math.nan if failed else cumulative_deviation(result, p),
+        sum_u_sq=math.nan if failed else float((result.u ** 2).sum()),
+        status=f"failed: {describe_failure(result)}" if failed else "ok",
+        runtime_s=runtime_s)
 
 
 def _column(trace: Trace, j: int) -> Trace:

@@ -25,8 +25,6 @@ class TestParsing:
         import argparse
         with pytest.raises(argparse.ArgumentTypeError):
             _parse_grid("41")
-        with pytest.raises(argparse.ArgumentTypeError):
-            _parse_grid("0x4")
 
 
 class TestSimulate:
@@ -53,6 +51,12 @@ class TestSimulate:
                             "--controller", "onoff", "--config", str(cfg)], capsys)
         assert code == 0
 
+    def test_unknown_start_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--fast", "--start", "bogus"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
     def test_bad_config_reports_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"plant": {"bogus_key": 1.0}}))
@@ -78,7 +82,8 @@ def test_closed_loop_errors_reported(capsys, argv):
     (["dp", "solve", "-N", "5", "--atoms", "0"], "n_atoms"),
     (["simulate", "-N", "-3"], "N"),
     (["simulate", "-N", "5", "--controller", "dp", "--grid", "1x1"], "grid_shape"),
-], ids=["actions0", "atoms0", "N-3", "grid1x1"])
+    (["simulate", "-N", "5", "--controller", "dp", "--grid", "0x4"], "grid_shape"),
+], ids=["actions0", "atoms0", "N-3", "grid1x1", "grid0x4"])
 def test_bad_counts_name_their_field(capsys, argv, field):
     code, _, err = run([*argv, "--fast"], capsys)
     assert code == 2

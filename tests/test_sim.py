@@ -462,18 +462,29 @@ class TestCompare:
 
         monkeypatch.setattr(sim, "_closed_loop", spying_loop)
         starts = {**standard_initial_states(P), "bad": (-1.0, 0.0)}
-        specs = [MPC, ControllerSpec(kind="onoff", v=0.5), ControllerSpec(kind="onoff", v=0.2)]
+        # the bad start's error wins over the bogus spec's in their shared cell
+        specs = [MPC, ControllerSpec(kind="onoff", v=0.5), ControllerSpec(kind="onoff", v=0.2),
+                 ControllerSpec(kind="bogus")]
         w = wet_12h(dt=60.0)
         rows = compare(starts, specs, w, 30, P)
         assert shapes == [(9,)]
-        assert [r.status for r in rows[-3:]] == [
-            "failed: ValueError: initial state outside the clamped state box"] * 3
+        assert [r.status for r in rows[-4:]] == [
+            "failed: ValueError: initial state outside the clamped state box"] * 4
         cells = [(name, x0, spec) for name, x0 in starts.items() for spec in specs]
-        for row, (name, x0, spec) in zip(rows[:-3], cells):
+        for row, (name, x0, spec) in zip(rows[:-4], cells):
+            if spec.kind == "bogus":
+                assert row.status == "failed: ValueError: unknown controller kind 'bogus'"
+                continue
             assert row.status == "ok"
             assert (row.cumulative_deviation, row.sum_u_sq) == _alone(name, x0, spec, w, 30)
 
-    def test_dp_solved_once_per_compare(self, monkeypatch):
+    @pytest.mark.parametrize("lam, status", [
+        (1e-3, "ok"),
+        # the stage cost overflows in the first backup; the error is kept
+        # for every start, not solved again for each
+        (-1e308, "failed: ArithmeticError: non-finite value in entropic backup"),
+    ], ids=["ok", "failing"])
+    def test_dp_solved_once_per_compare(self, monkeypatch, lam, status):
         calls = []
         solve = riskdp.solve
 
@@ -482,12 +493,14 @@ class TestCompare:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(riskdp, "solve", counting_solve)
-        spec = ControllerSpec(kind="dp", grid_shape=(9, 9), n_actions=3)
+        spec = ControllerSpec(kind="dp", lam=lam, grid_shape=(9, 9), n_actions=3)
         starts = standard_initial_states(P)
         w = wet_12h(dt=60.0)
         rows = compare(starts, [spec], w, 50, P)
         assert len(calls) == 1
-        assert [r.status for r in rows] == ["ok"] * 3
+        assert [r.status for r in rows] == [status] * 3
+        if status != "ok":
+            return
         # the shared policy drives every start as its own solve would
         for row, (name, x0) in zip(rows, starts.items()):
             trace = run_scenario(Scenario(name=name, x0=x0, N=50, controller=spec,
