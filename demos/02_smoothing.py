@@ -9,10 +9,10 @@ what makes the linearization behind the MPC well defined everywhere.
 
 import numpy as np
 
-from stormdp import PlantParams, SmoothParams, f_eps_rhs, f_rhs, smooth_sqrt
-from stormdp.smooth import q_out_eps, sigmoid_gate
+from stormdp import PlantParams, SmoothParams, f_eps_jacobians, f_eps_rhs, f_rhs, smooth_sqrt
 
 p = PlantParams()
+sp = SmoothParams(plant=p, eps=0.5)
 
 print("== smooth square root across its branches (eps = 0.5) ==")
 for y in (-2.0, 0.0, 0.25, 0.5, 1.0, 4.0):
@@ -21,17 +21,24 @@ for y in (-2.0, 0.0, 0.25, 0.5, 1.0, 4.0):
 print("note the floor (2/3)sqrt(eps) below zero: the blend trades exactness")
 print("near the kink for a globally defined derivative.")
 
-print("\n== sigmoid gate around the suction threshold (18.75 m^3) ==")
+print("\n== pump flow per unit control around the suction gate (18.75 m^3) ==")
 for x1 in (14.0, 17.0, 18.75, 20.5, 23.5):
-    g = float(sigmoid_gate(x1, p.pump_gate_volume, "activate-above", 0.5))
-    print(f"  gate({x1:5.2f}) = {g:.6f}")
+    # the exact flow is tank 2's inflow at u = 1 less that at u = 0; the
+    # smooth flow is linear in u, so its u-partial is the flow at u = 1
+    exact = f_rhs(x1, 0.0, 1.0, 0.0, 0.0, p)[1] - f_rhs(x1, 0.0, 0.0, 0.0, 0.0, p)[1]
+    smooth = f_eps_jacobians(x1, 0.0, 0.0, 0.0, 0.0, sp)[2][1, 0]
+    print(f"  x1 = {x1:5.2f}: exact = {float(exact):.6f}, smooth = {float(smooth):.6f}")
 
 print("\n== outlet flow: exact vs smooth across the kink at 75 m^3 ==")
-sp = SmoothParams(plant=p, eps=0.5)
+# with the pump off and no weather, tank 1 only drains through its
+# outlet (0.0 - f keeps a zero flow from printing as -0)
 for x1 in (60.0, 74.0, 75.0, 76.0, 90.0):
-    from stormdp import q_out
-    print(f"  x1 = {x1:5.1f}: exact = {float(q_out(x1, p)):.6f}, "
-          f"smooth = {float(q_out_eps(x1, sp)):.6f}")
+    exact = 0.0 - f_rhs(x1, 0.0, 0.0, 0.0, 0.0, p)[0]
+    smooth = 0.0 - f_eps_rhs(x1, 0.0, 0.0, 0.0, 0.0, sp)[0]
+    print(f"  x1 = {x1:5.1f}: exact = {float(exact):.6f}, smooth = {float(smooth):.6f}")
+jx = f_eps_jacobians(p.a1 * p.z_o, 0.0, 0.0, 0.0, 0.0, sp)[1]
+print(f"at the kink the smooth outlet's slope d(-f1)/dx1 is {0.0 - jx[0, 0]:.1f}:")
+print("the linearization is defined there.")
 
 print("\n== pointwise convergence as eps shrinks ==")
 pt = (100.0, 10.0, 0.7, 2e-5, 1e-5)

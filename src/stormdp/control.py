@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linearize import OperatingPoint, condense, linearize_at, solve_mpc_qp
+from .linearize import OperatingPoint, check_horizon, condense, linearize_at, solve_mpc_qp
 from .plant import PlantParams, pump_gate
 from .riskdp import PolicyTable
 from .smooth import SmoothParams
@@ -31,7 +31,9 @@ _NO_WEATHER.flags.writeable = _ZERO_STATE.flags.writeable = False
 @dataclass(frozen=True)
 class MpcConfig:
     """MPC settings. A stage of the horizon is ``hold`` plant steps, the
-    closed loop's control period: the model steps ``hold * tau``."""
+    closed loop's control period: the model steps ``hold * tau``. The
+    horizon, the control weight and the smoothing scale are checked when
+    the config is built, not at its first decision."""
 
     plant: PlantParams
     horizon: int = 10
@@ -42,6 +44,8 @@ class MpcConfig:
     def __post_init__(self):
         if not (isinstance(self.hold, numbers.Integral) and self.hold >= 1):
             raise ValueError(f"hold must be a whole number of plant steps, got {self.hold!r}")
+        check_horizon(self.horizon, self.lam)
+        self.smooth   # builds the surrogate, so SmoothParams checks eps now
 
     @cached_property
     def smooth(self) -> SmoothParams:

@@ -16,6 +16,7 @@ one a scalar operating point gives, bit for bit."""
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ __all__ = [
     "CondensedHorizon",
     "MpcSolution",
     "NearSingularSystem",
+    "check_horizon",
     "linearize_at",
     "condense",
     "solve_mpc_qp",
@@ -123,6 +125,18 @@ class CondensedHorizon:
         return self.free.shape[-1]
 
 
+def check_horizon(M: int, lam: float) -> None:
+    """Refuse a horizon length M outside 1..MAX_HORIZON or a control weight
+    lam that is not finite and positive: the rule of every condensed
+    horizon, checked too where an MPC is configured."""
+    if M < 1:
+        raise ValueError("horizon M must be at least 1")
+    if M > MAX_HORIZON:
+        raise ValueError(f"horizon M must not exceed {MAX_HORIZON}")
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"control weight lam must be finite and positive, got {lam!r}")
+
+
 def condense(lm: LinearModel, M: int, y0, w_dev, lam: float,
              plant: PlantParams) -> CondensedHorizon:
     """Condense M steps of ``lm`` onto the x2 rows the cost reads.
@@ -134,12 +148,7 @@ def condense(lm: LinearModel, M: int, y0, w_dev, lam: float,
     where ``...`` is the models' batch: one for every model, or one per
     model.
     """
-    if M < 1:
-        raise ValueError("horizon M must be at least 1")
-    if M > MAX_HORIZON:
-        raise ValueError(f"horizon M must not exceed {MAX_HORIZON}")
-    if lam <= 0:
-        raise ValueError("control weight lam must be positive")
+    check_horizon(M, lam)
     y0 = np.asarray(y0, dtype=float)
     w_dev = np.asarray(w_dev, dtype=float)
     batch = lm.A.shape[:-2]

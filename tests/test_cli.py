@@ -65,16 +65,18 @@ class TestSimulate:
         assert "error" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["--horizon", "65"],
-    ["--lambda", "0"],
-    ["--horizon", "0"],
-    ["--controller", "onoff", "--v", "0"],
+@pytest.mark.parametrize("argv, message", [
+    # the MPC's parameters are refused when it is built, before step 0
+    (["--horizon", "65"], "ValueError: horizon M must not exceed 64"),
+    (["--lambda", "0"], "ValueError: control weight lam must be finite and positive, got 0.0"),
+    (["--horizon", "0"], "ValueError: horizon M must be at least 1"),
+    (["--controller", "onoff", "--v", "0"],
+     "ValueError at step 0: on/off rate v must be positive"),
 ], ids=["horizon65", "lambda0", "horizon0", "onoff-v0"])
-def test_closed_loop_errors_reported(capsys, argv):
+def test_closed_loop_errors_reported(capsys, argv, message):
     code, _, err = run(["simulate", "--fast", "-N", "5", *argv], capsys)
     assert code == 2
-    assert err.startswith("error: ValueError at step 0: ")
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv, field", [

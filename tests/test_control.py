@@ -1,5 +1,8 @@
 """Tests for the three controller step functions."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -148,6 +151,21 @@ class TestMpc:
         for hold in (0, -1, 1.5):
             with pytest.raises(ValueError, match="hold must be a whole number"):
                 MpcConfig(plant=P, hold=hold)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"horizon": 0}, "horizon M must be at least 1"),
+        ({"horizon": 65}, "horizon M must not exceed 64"),
+        ({"lam": math.nan}, "control weight lam must be finite and positive, got nan"),
+        ({"lam": math.inf}, "control weight lam must be finite and positive, got inf"),
+        ({"lam": -math.inf}, "control weight lam must be finite and positive, got -inf"),
+        ({"lam": 0.0}, "control weight lam must be finite and positive, got 0.0"),
+        ({"eps": math.nan}, "smoothing scale eps must be finite and positive, got nan"),
+        ({"eps": 0.0}, "smoothing scale eps must be finite and positive, got 0.0"),
+    ], ids=["horizon0", "horizon65", "lam-nan", "lam-inf", "lam-minus-inf", "lam0",
+            "eps-nan", "eps0"])
+    def test_bad_parameters_refused_when_built(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MpcConfig(plant=P, **kwargs)
 
     def test_deterministic(self):
         cfg = MpcConfig(plant=P, horizon=4)

@@ -18,20 +18,18 @@ from stormdp.linearize import (
     solve_mpc_qp,
 )
 from stormdp.plant import PlantParams
-from stormdp.smooth import SmoothParams, f_eps_jacobians, f_eps_rhs
+from stormdp.smooth import SmoothParams, f_eps_rhs
 
 P = PlantParams()
 SP = SmoothParams(plant=P, eps=0.5)
 
 
-def random_operating_point(rng, avoid_sqrt_kinks=True):
-    """Valid random operating point; optionally steer clear of the two
-    points where the smooth sqrt's curvature blows up (central
-    differences are ill-conditioned there, the derivative still exists)."""
+def random_operating_point(rng):
+    """Valid random operating point, clear of the two points where the
+    smooth sqrt's curvature blows up (central differences are
+    ill-conditioned there, the derivative still exists)."""
     while True:
         x1 = rng.uniform(0.0, P.cap1)
-        if not avoid_sqrt_kinks:
-            break
         y = x1 / P.a1 - P.z_o
         if abs(y) > 2e-2 and abs(y - SP.eps) > 2e-2:
             break
@@ -96,14 +94,6 @@ class TestLinearize:
         for u in (1.2, -0.1):
             with pytest.raises(ValueError, match="control fraction"):
                 linearize_at(OperatingPoint(100.0, 1.0, u, 1e-5, 1e-5), SP)
-
-    def test_field_matches_f_eps_rhs(self):
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            op = random_operating_point(rng, avoid_sqrt_kinks=False)
-            f, _, _, _ = f_eps_jacobians(op.x1, op.x2, op.u, op.w_r, op.w_e, SP)
-            assert np.array_equal(f, np.array(
-                f_eps_rhs(op.x1, op.x2, op.u, op.w_r, op.w_e, SP), dtype=float))
 
     def test_batch_equals_scalar_calls_in_the_outlet_band(self):
         # the outlet root's cubic blend on (a1 z_o, a1 (z_o + eps)] rounds
@@ -194,6 +184,13 @@ class TestCondense:
             condense(lm, 65, [0, 0], np.zeros((65, 2)), 1e-3, P)
         with pytest.raises(ValueError):
             condense(lm, 2, [0, 0], np.zeros((2, 2)), 0.0, P)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, 0.0])
+    def test_rejects_weight_that_is_not_finite_and_positive(self, lam):
+        lm = synthetic_model(np.eye(2), [[0.1], [0.1]], np.zeros((2, 2)),
+                             [0.0, 0.0])
+        with pytest.raises(ValueError, match="lam must be finite and positive"):
+            condense(lm, 2, [0, 0], np.zeros((2, 2)), lam, P)
 
 
 class TestSolveQp:

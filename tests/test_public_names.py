@@ -12,7 +12,8 @@ import stormdp
 
 MODULES = [info.name for info in pkgutil.iter_modules(stormdp.__path__)]
 LIBRARY = ["control", "linearize", "plant", "riskdp", "sim", "smooth"]
-REMOVED = ["entropic_backup", "read_trace_csv", "smooth_sqrt_deriv", "sigmoid_gate_deriv"]
+REMOVED = ["entropic_backup", "read_trace_csv", "smooth_sqrt_deriv", "sigmoid_gate_deriv",
+           "sigmoid_gate", "q_out_eps", "q_pump_eps", "q_drain_eps"]
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -350,8 +350,8 @@ class TestCompare:
         rows = compare({"low-low": standard_initial_states(P)["low-low"]},
                        [ControllerSpec(kind="mpc", horizon=65)],
                        wet_12h(dt=60.0), 5, P)
-        assert rows[0].status == ("failed: ValueError at step 0: "
-                                  "horizon M must not exceed 64")
+        # the MPC's horizon is refused when its controller is built
+        assert rows[0].status == "failed: ValueError: horizon M must not exceed 64"
 
     def test_csv_deterministic(self, tmp_path):
         rows = compare(standard_initial_states(P),
@@ -474,6 +474,29 @@ class TestCompare:
         for row, (name, x0, spec) in zip(rows[:-4], cells):
             if spec.kind == "bogus":
                 assert row.status == "failed: ValueError: unknown controller kind 'bogus'"
+                continue
+            assert row.status == "ok"
+            assert (row.cumulative_deviation, row.sum_u_sq) == _alone(name, x0, spec, w, 30)
+
+    def test_bad_mpc_spec_leaves_the_other_cells_in_one_loop(self, monkeypatch):
+        shapes = []
+        closed_loop = sim._closed_loop
+
+        def spying_loop(x0, *args):
+            shapes.append(np.shape(x0[0]))
+            return closed_loop(x0, *args)
+
+        monkeypatch.setattr(sim, "_closed_loop", spying_loop)
+        starts = standard_initial_states(P)
+        specs = [ControllerSpec(kind="mpc", horizon=65), ControllerSpec(kind="onoff", v=0.5),
+                 DP_9]
+        w = wet_12h(dt=60.0)
+        rows = compare(starts, specs, w, 30, P)
+        assert shapes == [(6,)]
+        cells = [(name, x0, spec) for name, x0 in starts.items() for spec in specs]
+        for row, (name, x0, spec) in zip(rows, cells):
+            if spec.kind == "mpc":
+                assert row.status == "failed: ValueError: horizon M must not exceed 64"
                 continue
             assert row.status == "ok"
             assert (row.cumulative_deviation, row.sum_u_sq) == _alone(name, x0, spec, w, 30)

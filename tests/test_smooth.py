@@ -9,20 +9,30 @@ from hypothesis import strategies as st
 
 from stormdp import smooth
 from stormdp.plant import PlantParams, f_rhs, mass_balance, q_drain, q_out, q_pump
-from stormdp.smooth import (
-    EXP_CLAMP,
-    SmoothParams,
-    f_eps_jacobians,
-    f_eps_rhs,
-    q_drain_eps,
-    q_out_eps,
-    q_pump_eps,
-    sigmoid_gate,
-    smooth_sqrt,
-)
+from stormdp.smooth import EXP_CLAMP, SmoothParams, f_eps_jacobians, f_eps_rhs, smooth_sqrt
 
 P = PlantParams()
 SP = SmoothParams(plant=P, eps=0.5)
+
+
+def _flows(x1, x2, u, sp=SP):
+    """The smooth outlet, pump and drainage flows, read off
+    ``f_eps_jacobians``: at u = 0 and no weather the field is
+    (-q_out, -q_drain) bit for bit, and the pump flow is its u-partial
+    times u, which rounds in another order (within 3e-18)."""
+    f, _, ju, _ = f_eps_jacobians(x1, x2, 0.0, 0.0, 0.0, sp)
+    return -f[..., 0], ju[..., 1, 0] * u, -f[..., 1]
+
+
+def _gate(sense, z, sp=SP):
+    """The pumps' suction gate on x1 (``activate-above``) or moisture gate
+    on x2 (``activate-below``) at z, read off ``f_eps_jacobians``: the
+    pump's u-partial is b psi g1 g2, and the other gate is read at a
+    state that saturates it to exactly 1."""
+    x1, x2 = (z, -1e3) if sense == "activate-above" else (P.cap1, z)
+    ju = f_eps_jacobians(x1, x2, 0.0, 0.0, 0.0, sp)[2]
+    psi = smooth_sqrt(np.asarray(x1) / P.a1 + P.c_hat - P.d, sp.eps)
+    return ju[..., 1, 0] / (P.b * psi)
 
 
 class TestSmoothSqrt:
@@ -73,31 +83,45 @@ class TestSmoothSqrt:
         with pytest.raises(ValueError):
             SmoothParams(plant=P, eps=-1.0)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0])
+    def test_rejects_eps_that_is_not_finite_and_positive(self, eps):
+        message = r"^smoothing scale eps must be finite and positive, got "
+        with pytest.raises(ValueError, match=message):
+            SmoothParams(plant=P, eps=eps)
+        with pytest.raises(ValueError, match=message):
+            smooth_sqrt(1.0, eps)
+
 
 class TestSigmoidGate:
+    """The logistic gates, as the pump flow reads them."""
+
     def test_half_at_threshold(self):
-        for sense in ("activate-above", "activate-below"):
-            assert float(sigmoid_gate(10.0, 10.0, sense, 0.5)) == 0.5
+        assert float(_gate("activate-above", P.pump_gate_volume)) == 0.5
+        assert float(_gate("activate-below", P.x2_target)) == 0.5
 
     def test_saturation(self):
         eps = 0.5
-        assert float(sigmoid_gate(10.0 + 40 * eps, 10.0, "activate-above", eps)) \
+        assert float(_gate("activate-above", P.pump_gate_volume + 40 * eps)) \
             == pytest.approx(1.0, abs=1e-15)
-        assert float(sigmoid_gate(10.0 + 40 * eps, 10.0, "activate-below", eps)) \
+        assert float(_gate("activate-below", P.x2_target + 40 * eps)) \
             == pytest.approx(0.0, abs=1e-15)
 
     def test_slope_at_threshold(self):
         eps = 0.5
         h = 1e-6
-        fd = (sigmoid_gate(10.0 + h, 10.0, "activate-above", eps)
-              - sigmoid_gate(10.0 - h, 10.0, "activate-above", eps)) / (2 * h)
+        z = P.pump_gate_volume
+        fd = (_gate("activate-above", z + h) - _gate("activate-above", z - h)) / (2 * h)
         assert float(fd) == pytest.approx(1 / (4 * eps), rel=1e-6)
-        an = smooth._gate_and_slope(10.0, 10.0, "activate-above", eps)[1]
-        assert float(an) == pytest.approx(1 / (4 * eps), rel=1e-12)
+        # the moisture gate's slope, read off the pump's x2 partial at full
+        # pumping with the suction gate at 1 (drainage is shut off there)
+        jx = f_eps_jacobians(P.cap1, P.x2_target, 1.0, 0.0, 0.0, SP)[1]
+        psi = smooth_sqrt(P.cap1 / P.a1 + P.c_hat - P.d, eps)
+        assert float(jx[1, 1] / (P.b * psi)) == pytest.approx(-1 / (4 * eps), rel=1e-12)
 
     def test_monotone_and_no_overflow(self):
         z = np.linspace(-1e6, 1e6, 1001)
-        s = sigmoid_gate(z, 0.0, "activate-above", 0.5)
+        with np.errstate(over="raise"):
+            s = _gate("activate-above", z)
         assert np.all(np.diff(s) >= 0.0)
         assert np.all(np.isfinite(s))
 
@@ -106,68 +130,70 @@ class TestSigmoidGate:
     def test_saturated_value_and_slope_stay_quiet(self, z, sense):
         # |z - threshold| / eps = 2e6 lies far beyond EXP_CLAMP
         eps = 0.5
+        x1, x2 = (z, -1e3) if sense == "activate-above" else (P.cap1, z)
         with np.errstate(all="raise"):
-            s, ds = map(float, smooth._gate_and_slope(z, 0.0, sense, eps))
+            out = f_eps_jacobians(x1, x2, 1.0, 0.0, 0.0, SP)
+            s = float(_gate(sense, z))
+            ds = float(_gate(sense, z + 1.0) - _gate(sense, z - 1.0)) / 2.0
+        assert all(np.all(np.isfinite(a)) for a in out)
         assert 0.0 <= s <= 1.0
         assert -1 / (4 * eps) <= ds <= 1 / (4 * eps)
         on = (z > 0) == (sense == "activate-above")
         assert s == pytest.approx(1.0 if on else 0.0, abs=1e-200)
 
-    def test_unknown_sense_rejected(self):
-        with pytest.raises(ValueError):
-            sigmoid_gate(0.0, 0.0, "sideways", 0.5)
-
 
 class TestSmoothFlows:
     def test_q_out_eps_matches_exact_above_band(self):
         x1 = np.linspace(P.a1 * (P.z_o + SP.eps) + 1.0, P.cap1, 100)
-        assert np.allclose(q_out_eps(x1, SP), q_out(x1, P), rtol=0, atol=0)
+        assert np.allclose(_flows(x1, 0.0, 0.0)[0], q_out(x1, P), rtol=0, atol=0)
 
     def test_q_out_eps_at_zero(self):
-        assert float(q_out_eps(0.0, SP)) == pytest.approx(0.06253, rel=1e-3)
+        assert float(_flows(0.0, 0.0, 0.0)[0]) == pytest.approx(0.06253, rel=1e-3)
 
     def test_q_out_eps_differentiable_at_kink(self):
         # at the former kink the smooth flow is C1 with zero slope: the
         # central difference exists and converges to the analytic value 0
         x1 = P.a1 * P.z_o
-        assert float(smooth._sqrt_and_slope(0.0, SP.eps)[1]) == 0.0
+        assert float(f_eps_jacobians(x1, 0.0, 0.0, 0.0, 0.0, SP)[1][0, 0]) == 0.0
         fds = []
         for h in (1e-2, 1e-4, 1e-6):
-            fds.append(abs(float(q_out_eps(x1 + h, SP) - q_out_eps(x1 - h, SP))
+            fds.append(abs(float(_flows(x1 + h, 0.0, 0.0)[0] - _flows(x1 - h, 0.0, 0.0)[0])
                            / (2 * h)))
         assert fds[0] > fds[1] > fds[2]
         assert fds[2] <= 1e-6
 
     def test_q_pump_eps_spot_value(self):
-        got = float(q_pump_eps(100.0, 0.0, 0.5, SP))
+        got = float(_flows(100.0, 0.0, 0.5)[1])
         sigma2 = 1.0 / (1.0 + math.exp((0.0 - 3.14416) / 0.5))
         expected = 0.5 * P.b * math.sqrt(100 / 25 + 55.2 - 16) * sigma2
         assert got == pytest.approx(expected, rel=1e-9)
         assert got == pytest.approx(4.253e-3, rel=1e-3)
 
     def test_q_pump_eps_zero_control_and_range(self):
-        assert float(q_pump_eps(100.0, 0.0, 0.0, SP)) == 0.0
+        # at u = 0 the pump adds exactly nothing to tank 1's outflow
+        f1 = f_eps_rhs(100.0, 0.0, 0.0, 0.0, 0.0, SP)[0]
+        assert float(f1) == -P.c_out * float(smooth_sqrt(100.0 / P.a1 - P.z_o, SP.eps))
         with pytest.raises(ValueError):
-            q_pump_eps(100.0, 0.0, 1.2, SP)
+            f_eps_jacobians(100.0, 0.0, 1.2, 0.0, 0.0, SP)
         for u in (math.nan, np.float64(math.nan), np.array([0.5, math.nan])):
             with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
-                q_pump_eps(100.0, 0.0, u, SP)
+                f_eps_jacobians(100.0, 0.0, u, 0.0, 0.0, SP)
 
     def test_q_pump_eps_deep_interior_matches_exact(self):
         # both gates saturated (margins above 40*eps at eps = 0.05): x1
         # far above the suction gate, x2 far below the moisture gate
         sp = SmoothParams(plant=P, eps=0.05)
-        got = float(q_pump_eps(100.0, 0.0, 1.0, sp))
+        got = float(_flows(100.0, 0.0, 1.0, sp)[1])
         exact = float(q_pump(100.0, 0.0, 1.0, P))
         assert got == pytest.approx(exact, rel=1e-9)
 
     def test_q_drain_eps(self):
-        assert float(q_drain_eps(P.z_cap, SP)) == pytest.approx(
+        assert float(_flows(0.0, P.z_cap, 0.0)[2]) == pytest.approx(
             0.5 * float(q_drain(P.z_cap, P)), rel=1e-9)
-        assert float(q_drain_eps(1.0, SP)) == pytest.approx(0.0, abs=1e-12)
+        assert float(_flows(0.0, 1.0, 0.0)[2]) == pytest.approx(0.0, abs=1e-12)
         deep = P.z_cap  # cap2 == z_cap, so "far above" is out of the box;
         # verify saturation on the high side just below the clamp instead
-        got = float(q_drain_eps(deep + 25 * SP.eps, SP))
+        got = float(_flows(0.0, deep + 25 * SP.eps, 0.0)[2])
         exact = float(q_drain(deep + 25 * SP.eps, P))
         assert got == pytest.approx(exact, rel=1e-9)
 
@@ -177,8 +203,8 @@ class TestSmoothFlows:
             x1, x2 = rng.uniform(0, 150), rng.uniform(0, 34.4)
             u, wr, we = rng.uniform(0, 1), rng.uniform(0, 1e-4), rng.uniform(0, 1e-4)
             f1, f2 = f_eps_rhs(x1, x2, u, wr, we, SP)
-            expected = (wr * (P.a_in + P.a2) - float(q_out_eps(x1, SP)) - we
-                        - float(q_drain_eps(x2, SP)))
+            q_o, _, q_d = _flows(x1, x2, u)
+            expected = wr * (P.a_in + P.a2) - float(q_o) - we - float(q_d)
             assert float(f1 + f2) == pytest.approx(expected, abs=1e-15)
 
     def test_df2_dwe_is_minus_one(self):
@@ -205,12 +231,12 @@ class TestSmoothFlows:
         rng = np.random.default_rng(5)
         x1 = rng.uniform(0, P.cap1, 500)
         x2 = rng.uniform(0, P.cap2, 500)
+        q_o, q_p, q_d = _flows(x1, x2, 1.0)
         sup_qout = float(q_out(P.cap1, P))
         slack = P.c_out * (2 / 3) * math.sqrt(SP.eps)
-        assert np.all(q_out_eps(x1, SP) <= sup_qout + slack)
-        assert np.all(q_pump_eps(x1, x2, 1.0, SP)
-                      <= float(np.max(q_pump(P.cap1, 0.0, 1.0, P))) + slack)
-        assert np.all(q_drain_eps(x2, SP) <= float(q_drain(P.cap2, P)) + slack)
+        assert np.all(q_o <= sup_qout + slack)
+        assert np.all(q_p <= float(np.max(q_pump(P.cap1, 0.0, 1.0, P))) + slack)
+        assert np.all(q_d <= float(q_drain(P.cap2, P)) + slack)
 
 
 def _per_law_sqrt(y, eps):
