@@ -2,18 +2,25 @@
 state/action/disturbance space.
 
 The backward recursion replaces the expectation backup with the entropic
-one, psi = (-2/theta) log E[exp((-theta/2) V_next)]. Under nearest-node
-projection the expectation is linear in the node-wise vector
-exp((-theta/2) V_next), so each stage takes one exponential per grid
+one, psi = (-2/theta) log E[exp((-theta/2) V_next)]. Nearest-node
+projection turns the deterministic plant plus finite disturbance atoms
+into an exactly finite MDP, held in one table that the solver, policy
+evaluation and the brute-force policy enumeration share: the distinct
+successor rows (the successor node of each atom), one row index per
+(node, action), and the stage costs. Many (node, action) pairs share a
+row, so psi is computed once per distinct row.
+
+A row whose atoms all land on one node n is a one-point distribution,
+and its psi is V_next[n] itself, under every theta and the plain
+expectation alike. Only the other, spread, rows take an exponential:
+the expectation is linear in the node-wise vector exp((-theta/2)
+V_next), so a stage with spread rows takes one exponential per grid
 node, shifted by min V_next. Where that vector would overflow, psi falls
-back to a log-sum-exp shifted by each row's maximum. Policy evaluation
-runs the same backup with the action fixed instead of minimized.
-Nearest-node projection turns the deterministic plant plus finite
-disturbance atoms into an exactly finite MDP, held in one table that the
-solver, policy evaluation and the brute-force policy enumeration share:
-the distinct successor rows (the successor node of each atom), one row
-index per (node, action), and the stage costs. Many (node, action) pairs
-share a row, so psi is computed once per distinct row.
+back to a log-sum-exp shifted by each row's maximum. On the preset storm
+every row collapses, at ``--fast`` and at tau = 1 s, so a stage there
+takes no exponential or logarithm, and theta changes neither V nor the
+policy. Policy evaluation runs the same backup with the action fixed
+instead of minimized.
 
 Two actions of one node that share a row share psi, and fl(c + psi) is
 monotone in c. Under a stage cost that does not depend on t, ``solve``
@@ -249,13 +256,18 @@ class _Tables:
     A successor row is the projected successor node of each atom. Many
     (node, action) pairs share one: at tau = 1 s on the default grid
     every successor is a self-loop, so all actions of a node share its
-    row. ``rows`` holds each distinct row once, in blocks of nA rows with
-    the last block padded by repeating rows. A block has the shape of one
-    node's rows in the dense (nodes, actions, atoms) table, so BLAS
-    reduces each row over its atoms by the same call as on that table
-    and psi keeps its bits. ``row_of`` holds, for every node and action,
-    the flat index of its row in the blocks. ``from_plant`` projects the
-    plant into the dense table; only its distinct rows are kept.
+    row. A distinct row is either collapsed, its atoms all on one node
+    n, or spread. psi of every distinct row sits in one flat layout,
+    which ``row_of`` indexes for every node and action: its first nnodes
+    entries hold V_next, so a collapsed row at node n reads entry n, and
+    the spread rows follow. ``rows`` holds each spread row once, in
+    blocks of nA rows with the last block padded by repeating rows. A
+    block has the shape of one node's rows in the dense (nodes, actions,
+    atoms) table, so BLAS reduces each row over its atoms by the same
+    call as on that table and psi keeps its bits. Every row of the
+    preset storm collapses: 1517 at ``--fast`` and 1681 at tau = 1 s, so
+    ``rows`` is empty there. ``from_plant`` projects the plant into the
+    dense table; only its distinct rows are kept.
 
     A stage cost that does not depend on t is evaluated once, here; a
     time-varying one is evaluated on each ``stage_cost`` call. ``kept``
@@ -281,9 +293,12 @@ class _Tables:
         self.costs = costs
         n_actions = self.actions.size
         distinct, row_of = _distinct_rows(np.asarray(succ))
-        self.rows = np.resize(distinct, (-(-distinct.shape[0] // n_actions), n_actions,
-                                         dm.natoms))
-        self.row_of = row_of.reshape(grid.nnodes, n_actions)
+        collapsed = (distinct == distinct[:, :1]).all(axis=1)
+        spread = distinct[~collapsed]
+        self.rows = np.resize(spread, (-(-spread.shape[0] // n_actions), n_actions,
+                                       dm.natoms))
+        flat = np.where(collapsed, distinct[:, 0], grid.nnodes + np.cumsum(~collapsed) - 1)
+        self.row_of = flat.take(row_of).reshape(grid.nnodes, n_actions)
         self._fixed_cost = self.kept = None
         if costs.time_varying:
             self.cand = np.broadcast_to(np.arange(n_actions), self.row_of.shape)
@@ -370,23 +385,29 @@ def _psi(V_succ: np.ndarray, p: np.ndarray, theta: float) -> np.ndarray:
 
 
 def _row_psi(V_next, theta, tables: _Tables) -> np.ndarray:
-    """psi_t once per distinct successor row, shaped as ``tables.rows``
-    without its atom axis, so ``row_of`` indexes it flat.
+    """psi_t once per distinct successor row, in the flat layout that
+    ``row_of`` indexes: V_next, which is psi of every collapsed row,
+    then the spread rows of ``tables.rows`` in order. Without spread
+    rows it is V_next itself, and takes no exp, log, min or max.
 
-    ``theta=None`` backs up the plain expectation instead of psi. psi
-    takes one exponential per node, shifted by min V'; expm1/log1p keep
-    rows whose atoms share a successor exact. Past EXP_SHIFT_LIMIT it
-    takes the per-row max shift of ``_psi``.
+    ``theta=None`` backs up the plain expectation instead of psi. The
+    spread rows take one exponential per node, shifted by min V'. Past
+    EXP_SHIFT_LIMIT they take the per-row max shift of ``_psi``.
     """
     rows, p = tables.rows, tables.dm.p
+    if not rows.size:
+        return V_next
     if theta is None:
-        return (V_next[rows] * p).sum(axis=-1)
-    gamma = -theta / 2.0
-    m = V_next.min()
-    if gamma * (V_next.max() - m) <= EXP_SHIFT_LIMIT:
-        e = np.expm1(gamma * (V_next - m))
-        return m + np.log1p(e[rows] @ p) / gamma
-    return _psi(V_next[rows], p, theta)
+        spread = (V_next[rows] * p).sum(axis=-1)
+    else:
+        gamma = -theta / 2.0
+        m = V_next.min()
+        if gamma * (V_next.max() - m) <= EXP_SHIFT_LIMIT:
+            e = np.expm1(gamma * (V_next - m))
+            spread = m + np.log1p(e[rows] @ p) / gamma
+        else:
+            spread = _psi(V_next[rows], p, theta)
+    return np.concatenate((V_next, spread.reshape(-1)))
 
 
 def _q_values(V_next, cost, theta, tables: _Tables):
@@ -472,12 +493,13 @@ def solve(N: int, grid: Grid, actions, dm: DisturbanceModel, costs: CostSpec,
 
 
 def _policy_values(policy_mu: np.ndarray, theta: float, tables: _Tables,
-                   stage_cost: Callable) -> np.ndarray:
+                   stage_cost: Callable, terminal: np.ndarray) -> np.ndarray:
     """Entropic values V_t of a fixed Markov policy, shape (N+1, nnodes):
-    the backup of ``solve`` with the action taken from the policy and
-    c_t from ``stage_cost(t)``. Each stage reads c_t and psi at the
-    policy's (node, action) pairs only; the add is elementwise, so the
-    values have the bits of the dense Q read at those pairs."""
+    the backup of ``solve`` with the action taken from the policy, c_t
+    from ``stage_cost(t)`` and V_N = ``terminal``. Each stage reads c_t
+    and psi at the policy's (node, action) pairs only; the add is
+    elementwise, so the values have the bits of the dense Q read at
+    those pairs."""
     N = policy_mu.shape[0]
     # flat (node, action) index of each stage's pairs, and their rows; an
     # action index out of range raises ValueError
@@ -485,7 +507,7 @@ def _policy_values(policy_mu: np.ndarray, theta: float, tables: _Tables,
                                 tables.row_of.shape)
     rows = tables.row_of.take(pair)
     V = np.empty((N + 1, tables.grid.nnodes))
-    V[N] = tables.terminal_cost()
+    V[N] = terminal
     for t in range(N - 1, -1, -1):
         V[t] = stage_cost(t).take(pair[t]) + _row_psi(V[t + 1], theta, tables).take(rows[t])
     return V
@@ -500,7 +522,8 @@ def evaluate_policy_W(policy: PolicyTable, dm: DisturbanceModel, costs: CostSpec
     gamma V_t exceeds log(float max), past which W is not representable.
     """
     tables = _Tables.from_plant(policy.grid, policy.actions, dm, costs, p)
-    V = _policy_values(policy.mu, rm.theta, tables, tables.stage_cost)
+    V = _policy_values(policy.mu, rm.theta, tables, tables.stage_cost,
+                       tables.terminal_cost())
     top, limit = rm.gamma * V.max(), np.log(np.finfo(float).max)
     if top > limit:
         raise ArithmeticError(f"policy evaluation overflows: gamma * max V = {top:.6g} "
@@ -527,11 +550,13 @@ def brute_force_optimal(N: int, grid: Grid, actions, dm: DisturbanceModel,
     n_entries = grid.nnodes * N
     if n_actions ** n_entries > MAX_ENUMERATION:
         raise ValueError("policy enumeration too large for brute force")
-    # each stage cost once for every policy; the enumeration bound keeps N tiny
+    # each stage cost and the terminal cost once for every policy; the
+    # enumeration bound keeps N tiny
     stage = {t: tables.stage_cost(t) for t in range(N - 1, -1, -1)}
+    terminal = tables.terminal_cost()
     policy_values = np.asarray([
         _policy_values(np.asarray(flat).reshape(N, grid.nnodes), rm.theta, tables,
-                       stage.__getitem__)[0]
+                       stage.__getitem__, terminal)[0]
         for flat in itertools.product(range(n_actions), repeat=n_entries)])
     return BruteForceResult(optimal_values=policy_values.min(axis=0),
                             policy_values=policy_values)

@@ -136,8 +136,12 @@ def path_enumeration_value(inst: TinyInstance, policy_mu: np.ndarray,
 
 def dense_succ(tables) -> np.ndarray:
     """The dense successor table of ``riskdp._Tables``, shape (nnodes, nA,
-    natoms): each (node, action)'s row read back from the blocks."""
-    return tables.rows.reshape(-1, tables.dm.natoms)[tables.row_of]
+    natoms): each (node, action)'s row read back from the flat layout,
+    whose entry n < nnodes is the collapsed row (n, ..., n) and whose
+    later entries are the spread rows of the blocks."""
+    natoms = tables.dm.natoms
+    collapsed = np.repeat(np.arange(tables.grid.nnodes)[:, None], natoms, axis=1)
+    return np.concatenate((collapsed, tables.rows.reshape(-1, natoms)))[tables.row_of]
 
 
 def dp_spec_inputs(p: PlantParams, w_r, w_e):
@@ -147,3 +151,15 @@ def dp_spec_inputs(p: PlantParams, w_r, w_e):
     return (Grid.uniform(*spec.grid_shape, p), np.linspace(0.0, 1.0, spec.n_actions),
             DisturbanceModel.from_series(w_r, w_e, n_atoms=spec.n_atoms),
             tracking_cost(p, lam=spec.lam))
+
+
+def spread_inputs():
+    """``solve``'s instance arguments where successor rows spread: the
+    default DP spec at tau = 300 s on a storm repeating 0, 10 and
+    40 mm/h, which bins into three atoms. 943 of its distinct rows have
+    every atom on one node and 146 do not; at theta = -10 over 720
+    stages, gamma (max V' - min V') passes EXP_SHIFT_LIMIT at stages 0
+    to 41."""
+    rain = np.tile(np.array([0.0, 10.0, 40.0]) * (1e-3 / 3600.0), 60)
+    p = PlantParams(tau=300.0)
+    return (*dp_spec_inputs(p, rain, np.full(rain.size, 4.0e-5)), p)

@@ -6,13 +6,16 @@ on/off at ``--fast`` and held at tau = 1 s), must reproduce the CSVs kept
 in ``tests/data``.
 
 Text columns, the policy column ``mu0`` and empty cells (a trace's last
-row has no per-step values) must match exactly. The on/off traces take
-no exp or log, only IEEE arithmetic and square roots, so every column
-of theirs must match byte for byte too: ``cost`` squares the x2 column
-after the loop as one array, which numpy does as ``x * x``. Other
-numeric columns must match to rel=1e-9, which leaves room for a numpy
-build that rounds exp/log/pow differently in the last bit. A deliberate
-change of these outputs regenerates the files from the repository root:
+row has no per-step values) must match exactly. What takes no exp or
+log, only IEEE arithmetic and square roots, must match byte for byte
+in every column: the on/off traces, whose ``cost`` squares the x2
+column after the loop as one array, which numpy does as ``x * x``; the
+``dp solve`` tables, since every successor row of the preset storm has
+its atoms on one node, where the backup takes V' itself; and the on/off
+and DP rows of the comparison. Other numeric columns, the MPC's, must
+match to rel=1e-9, which leaves room for a numpy build that rounds
+exp/log/pow differently in the last bit. A deliberate change of these
+outputs regenerates the files from the repository root:
 
     PYTHONPATH=src python -m stormdp.cli compare --fast --with-dp \\
         --out tests/data/compare_fast_with_dp.csv --timing-out /dev/null
@@ -41,6 +44,9 @@ DATA = Path(__file__).parent / "data"
 EXACT_COLUMNS = {"scenario", "controller", "params", "status", "mu0"}
 ONOFF_EXACT = EXACT_COLUMNS | {"t", "x1", "x2", "u", "w_r", "w_e", "cost", "clamp1",
                                "clamp2"}
+DP_SOLVE_EXACT = EXACT_COLUMNS | {"x1", "x2", "V0"}
+# comparison rows matched in every column
+EXACT_CONTROLLERS = {"onoff", "dp"}
 
 
 def _read(path):
@@ -50,8 +56,8 @@ def _read(path):
 
 @pytest.mark.parametrize("argv, golden, exact_columns", [
     (["compare", "--fast", "--with-dp"], "compare_fast_with_dp.csv", EXACT_COLUMNS),
-    (["dp", "solve", "--fast"], "dp_solve_fast.csv", EXACT_COLUMNS),
-    (["dp", "solve", "-N", "180"], "dp_solve_1s.csv", EXACT_COLUMNS),
+    (["dp", "solve", "--fast"], "dp_solve_fast.csv", DP_SOLVE_EXACT),
+    (["dp", "solve", "-N", "180"], "dp_solve_1s.csv", DP_SOLVE_EXACT),
     (["simulate", "--controller", "mpc", "-N", "300", "--start", "high-low",
       "--control-period", "1"], "simulate_mpc_high_low.csv", EXACT_COLUMNS),
     (["simulate", "--controller", "mpc", "-N", "300", "--start", "high-low"],
@@ -70,8 +76,10 @@ def test_matches_golden_csv(tmp_path, capsys, argv, golden, exact_columns):
     want_header, *want_rows = _read(DATA / golden)
     assert header == want_header
     assert len(rows) == len(want_rows)
-    exact = [name in exact_columns for name in header]
+    controller = header.index("controller") if "controller" in header else None
     for got, want in zip(rows, want_rows):
+        whole_row = controller is not None and want[controller] in EXACT_CONTROLLERS
+        exact = [whole_row or name in exact_columns for name in header]
         assert ([g if e or g == "" else float(g) for g, e in zip(got, exact)]
                 == [w if e or w == "" else pytest.approx(float(w), rel=1e-9)
                     for w, e in zip(want, exact)])

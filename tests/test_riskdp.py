@@ -17,6 +17,7 @@ from _instances import (
     oracle_instance,
     path_enumeration_value,
     random_tiny_instance,
+    spread_inputs,
 )
 from stormdp import riskdp
 from stormdp.control import dp_step
@@ -266,12 +267,9 @@ class TestPerNodeKernel:
         assert np.array_equal(q.argmin(axis=1), ref.argmin(axis=1))
 
     def test_solve_across_the_switch_matches_row_shift(self, monkeypatch):
-        # theta = -10 on the --fast instance: gamma (max V' - min V') starts
-        # below the limit and passes it mid-recursion
-        p = PlantParams(tau=60.0)
-        weather = wet_12h(dt=60.0)
-        args = (*dp_spec_inputs(p, weather.w_r[:720], weather.w_e[:720]), p,
-                RiskParams(-10.0))
+        # theta = -10 on an instance with spread rows: gamma (max V' -
+        # min V') starts below the limit and passes it mid-recursion
+        args = (*spread_inputs(), RiskParams(-10.0))
         values, policy = solve(720, *args)
         gamma_range = 5.0 * np.ptp(values.V[1:], axis=1)
         assert gamma_range.min() <= riskdp.EXP_SHIFT_LIMIT < gamma_range.max()
@@ -379,13 +377,20 @@ class TestKeepValues:
     @pytest.mark.parametrize("theta", [None, -0.1, -10.0])
     @pytest.mark.parametrize("N", [1, 2, 3, 720])
     def test_fast_instance(self, N, theta, time_varying):
-        # theta = -10 passes EXP_SHIFT_LIMIT mid-recursion at N = 720
+        # every successor row collapses onto one node
         p = PlantParams(tau=60.0)
         weather = wet_12h(dt=60.0)
         grid, actions, dm, costs = dp_spec_inputs(p, weather.w_r[:720], weather.w_e[:720])
         costs = CostSpec(costs.stage, costs.terminal, time_varying)
         self._assert_same(N, grid, actions, dm, costs, p,
                           None if theta is None else RiskParams(theta))
+
+    @pytest.mark.parametrize("theta", [None, -10.0])
+    @pytest.mark.parametrize("N", [3, 720])
+    def test_spread_instance(self, N, theta):
+        # spread rows beside collapsed ones; theta = -10 passes
+        # EXP_SHIFT_LIMIT mid-recursion at N = 720
+        self._assert_same(N, *spread_inputs(), None if theta is None else RiskParams(theta))
 
     @pytest.mark.parametrize("time_varying", [False, True])
     @pytest.mark.parametrize("theta", [None, -0.1, -10.0])
@@ -414,19 +419,30 @@ class TestKeepValues:
 
 
 def _counting(costs, time_varying):
-    """``costs`` with its stage callable wrapped to record each t it is asked for."""
-    calls = []
+    """``costs`` with its callables wrapped to record each stage t asked
+    for and each terminal evaluation."""
+    calls = {"stage": [], "terminal": 0}
 
     def stage(t, x1, x2, u):
-        calls.append(t)
+        calls["stage"].append(t)
         return costs.stage(t, x1, x2, u)
 
-    return CostSpec(stage=stage, terminal=costs.terminal, time_varying=time_varying), calls
+    def terminal(x1, x2):
+        calls["terminal"] += 1
+        return costs.terminal(x1, x2)
+
+    return CostSpec(stage=stage, terminal=terminal, time_varying=time_varying), calls
 
 
 class TestStageCostEvaluatedOnce:
     """A time-invariant stage cost is evaluated once per call; a
-    time-varying one once per stage of each call."""
+    time-varying one once per stage of each call. The terminal cost is
+    evaluated once per call."""
+
+    @staticmethod
+    def _expected(inst, time_varying):
+        return {"stage": list(range(inst.N - 1, -1, -1)) if time_varying else [0],
+                "terminal": 1}
 
     @pytest.mark.parametrize("time_varying", [False, True])
     def test_solve(self, time_varying):
@@ -434,7 +450,7 @@ class TestStageCostEvaluatedOnce:
         costs, calls = _counting(inst.costs, time_varying)
         solve(inst.N, inst.grid, inst.actions, inst.dm, costs, inst.plant,
               RiskParams(-1.0))
-        assert calls == (list(range(inst.N - 1, -1, -1)) if time_varying else [0])
+        assert calls == self._expected(inst, time_varying)
 
     @pytest.mark.parametrize("time_varying", [False, True])
     def test_evaluate_policy_W(self, time_varying):
@@ -444,7 +460,7 @@ class TestStageCostEvaluatedOnce:
                           inst.plant, rm)
         costs, calls = _counting(inst.costs, time_varying)
         evaluate_policy_W(policy, inst.dm, costs, inst.plant, rm)
-        assert calls == (list(range(inst.N - 1, -1, -1)) if time_varying else [0])
+        assert calls == self._expected(inst, time_varying)
 
     @pytest.mark.parametrize("time_varying", [False, True])
     def test_brute_force_optimal(self, time_varying):
@@ -454,8 +470,9 @@ class TestStageCostEvaluatedOnce:
                                   inst.plant, RiskParams(-1.0))
         n_policies = res.policy_values.shape[0]
         assert n_policies == inst.actions.size ** (inst.N * inst.grid.nnodes)
-        # every stage once per call, shared by all the enumerated policies
-        assert calls == (list(range(inst.N - 1, -1, -1)) if time_varying else [0])
+        # every stage and the terminal cost once per call, shared by all
+        # the enumerated policies
+        assert calls == self._expected(inst, time_varying)
 
 
 class TestPolicyEvaluation:

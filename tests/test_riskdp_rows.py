@@ -1,22 +1,24 @@
 """The distinct-row successor table of the entropic DP.
 
 ``riskdp._Tables`` keeps each distinct successor row once and backs it
-up once per stage, and under a fixed cost ``solve`` backs up only the
-(node, action) pairs that no lower-index action dominates. These tests
-hold both to the bits of the dense backup they replaced, which backed up
-every (node, action, atom) successor of the dense table and took the
-argmin over every action, and count the rows and the kept actions of two
-instances by hand.
+up once per stage, a row whose atoms share one node n as V'[n] itself,
+and under a fixed cost ``solve`` backs up only the (node, action) pairs
+that no lower-index action dominates. These tests hold all three to the
+bits of the dense backup, which backs up every (node, action, atom)
+successor of the dense table, takes V'[n] for a row whose atoms share
+node n, and takes the argmin over every action, and count the rows and
+the kept actions of three instances by hand.
 """
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _instances import dense_succ, dp_spec_inputs, oracle_instance
+from _instances import dense_succ, dp_spec_inputs, oracle_instance, spread_inputs
 from stormdp import plant, riskdp
 from stormdp.plant import PlantParams
 from stormdp.riskdp import (
@@ -33,7 +35,8 @@ from stormdp.sim import wet_12h
 
 def full_gather_q_values(V_next, cost, theta, succ, p):
     """The full-gather kernel: c + psi over the dense (nodes, actions,
-    atoms) successor table ``succ``, one gather per successor."""
+    atoms) successor table ``succ``, one gather per successor, except
+    that psi of a row whose atoms all share one node n is V_next[n]."""
     if theta is None:
         psi = (V_next[succ] * p).sum(axis=-1)
     else:
@@ -44,7 +47,8 @@ def full_gather_q_values(V_next, cost, theta, succ, p):
             psi = m + np.log1p(e[succ] @ p) / gamma
         else:
             psi = riskdp._psi(V_next[succ], p, theta)
-    return cost + psi
+    collapsed = (succ == succ[..., :1]).all(axis=-1)
+    return cost + np.where(collapsed, V_next[succ[..., 0]], psi)
 
 
 def _full_gather(V_next, cost, theta, tables):
@@ -73,13 +77,13 @@ def dense_solve(N, theta, tables):
     return V, mu
 
 
-def dense_policy_values(policy_mu, theta, tables, stage_cost):
+def dense_policy_values(policy_mu, theta, tables, stage_cost, terminal):
     """Entropic values of a fixed policy by the full-gather Q over every
     (node, action), read at the policy's action of each node."""
     N = policy_mu.shape[0]
     nodes = np.arange(tables.grid.nnodes)
     V = np.empty((N + 1, tables.grid.nnodes))
-    V[N] = tables.terminal_cost()
+    V[N] = terminal
     for t in range(N - 1, -1, -1):
         V[t] = _full_gather(V[t + 1], stage_cost(t), theta, tables)[nodes, policy_mu[t]]
     return V
@@ -238,6 +242,21 @@ class TestFullGatherBits:
         assert np.array_equal(values.V, V)
         assert np.array_equal(policy.mu, mu)
 
+    @pytest.mark.parametrize("theta", [None, -0.1, -10.0])
+    def test_solve_spread_instance(self, theta):
+        # 146 spread rows beside 943 collapsed ones; at theta = -10 the
+        # spread rows take the row-shift fallback on stages 0 to 41
+        args = spread_inputs()
+        tables = riskdp._Tables.from_plant(*args)
+        assert tables.rows.size
+        rm = None if theta is None else RiskParams(theta)
+        with mock.patch.object(riskdp, "_psi", wraps=riskdp._psi) as row_shift:
+            values, policy = solve(720, *args, rm)
+        assert row_shift.call_count == (42 if theta == -10.0 else 0)
+        V, mu = dense_solve(720, theta, tables)
+        assert np.array_equal(values.V, V)
+        assert np.array_equal(policy.mu, mu)
+
     @pytest.mark.parametrize("theta", [-0.3, -1.5])
     def test_evaluate_policy_W(self, monkeypatch, theta):
         inst = oracle_instance()
@@ -338,16 +357,60 @@ class TestNonFiniteGuard:
         assert np.array_equal(mu, ref[1])
 
 
+class TestCollapsedRows:
+    """psi of a row whose atoms all share one node n is V'[n], bit for
+    bit, under every kernel the spread rows of its table take."""
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), theta=st.sampled_from([None, -0.7, -10.0]),
+           top=st.floats(1e-3, 1.7e308), shape=st.tuples(st.integers(1, 8), st.integers(1, 5),
+                                                        st.integers(1, 7)))
+    @settings(max_examples=150, deadline=None)
+    def test_psi_is_the_node_value(self, seed, theta, top, shape):
+        n_nodes, n_actions, n_atoms = shape
+        rng = np.random.default_rng(seed)
+        succ = rng.integers(0, n_nodes, size=shape)
+        collapsed = rng.random((n_nodes, n_actions)) < 0.5
+        succ[collapsed] = succ[collapsed][:, :1]
+        dm = DisturbanceModel(w_r=np.zeros(n_atoms), w_e=np.zeros(n_atoms),
+                              p=rng.dirichlet(np.ones(n_atoms)))
+        costs = CostSpec(stage=lambda t, x1, x2, u: np.zeros((n_nodes, n_actions)),
+                         terminal=None)
+        tables = riskdp._Tables(Grid(np.linspace(0.0, 1.0, n_nodes), [0.0]),
+                                np.linspace(0.0, 1.0, n_actions), dm, costs, succ)
+        # values of either sign up to ``top``, one of them at +-top
+        V = top * rng.uniform(-1.0, 1.0, n_nodes)
+        V[0] = top * rng.choice([-1.0, 1.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            psi = riskdp._row_psi(V, theta, tables).take(tables.row_of)
+        assert np.array_equal(psi[collapsed], V[succ[collapsed][:, 0]])
+
+    @pytest.mark.parametrize("theta", [None, -0.7, -10.0])
+    def test_no_spread_rows_returns_the_values(self, theta):
+        # every row collapsed: psi is V' itself, not a kernel's result
+        tables = riskdp._Tables.from_plant(*_one_second_inputs())
+        V = np.linspace(0.0, 1e3, 41 * 41)
+        assert riskdp._row_psi(V, theta, tables) is V
+
+
+def _split(tables):
+    """The numbers of distinct collapsed and spread rows ``row_of`` reads."""
+    used = np.unique(tables.row_of)
+    return (int(np.count_nonzero(used < tables.grid.nnodes)),
+            int(np.count_nonzero(used >= tables.grid.nnodes)))
+
+
 class TestRowCount:
     def test_fast_instance(self):
         # 41 x 41 nodes x 11 actions x 3 atoms at tau = 60 s
         weather = wet_12h(dt=60.0)
         tables = _plant_tables(PlantParams(tau=60.0), weather.w_r[:720], weather.w_e[:720])
         assert tables.row_of.shape == (41 * 41, 11)
-        assert np.unique(dense_succ(tables).reshape(-1, 3), axis=0).shape[0] == 1517
-        assert np.unique(tables.row_of).size == 1517
-        # the blocks hold each distinct row once, plus the last block's padding
-        assert tables.rows.shape == (138, 11, 3)
+        distinct = np.unique(dense_succ(tables).reshape(-1, 3), axis=0)
+        assert distinct.shape[0] == 1517
+        # every distinct row has its three atoms on one node
+        assert np.all(distinct == distinct[:, :1])
+        assert _split(tables) == (1517, 0)
+        assert tables.rows.shape == (0, 11, 3)
         # the cost rises with u, so a node keeps the first action of each
         # of its distinct rows
         assert tables.cand.shape == (41 * 41, 3)
@@ -362,26 +425,43 @@ class TestRowCount:
         tables = riskdp._Tables.from_plant(*_one_second_inputs())
         assert tables.dm.natoms == 3
         nodes = np.arange(41 * 41)
-        assert tables.rows.shape == (153, 11, 3)
+        assert _split(tables) == (1681, 0)
+        assert tables.rows.shape == (0, 11, 3)
         assert np.array_equal(dense_succ(tables),
                               np.broadcast_to(nodes[:, None, None], (nodes.size, 11, 3)))
+        # each collapsed row is read at its node
         assert np.array_equal(tables.row_of, np.repeat(nodes[:, None], 11, axis=1))
         # so action 0, the cheapest, is the only one each node keeps
         assert tables.cand.shape == (41 * 41, 1)
         assert not tables.cand.any()
         assert np.array_equal(tables.cand_row[:, 0], nodes)
 
+    def test_spread_instance(self):
+        # tau = 300 s under 0/10/40 mm/h: 1089 distinct rows, 146 spread
+        tables = riskdp._Tables.from_plant(*spread_inputs())
+        distinct = np.unique(dense_succ(tables).reshape(-1, 3), axis=0)
+        assert distinct.shape[0] == 1089
+        assert np.count_nonzero(np.all(distinct == distinct[:, :1], axis=1)) == 943
+        assert _split(tables) == (943, 146)
+        # the blocks hold each spread row once, plus the last block's padding
+        assert tables.rows.shape == (14, 11, 3)
+        assert np.unique(tables.rows.reshape(-1, 3), axis=0).shape[0] == 146
+
+
+def broadcast_succ(grid, actions, dm, p):
+    """The dense successor table of one broadcast ``plant.step`` over
+    every node, action and atom at once."""
+    x1n, x2n, _, _ = plant.step(grid.node_x1[:, None, None], grid.node_x2[:, None, None],
+                                np.asarray(actions, dtype=float)[:, None], dm.w_r, dm.w_e, p)
+    return grid.nearest(np.clip(x1n, grid.x1_nodes[0], grid.x1_nodes[-1]),
+                        np.clip(x2n, grid.x2_nodes[0], grid.x2_nodes[-1]))
+
 
 def broadcast_tables(grid, actions, dm, costs, p):
-    """The tables of one broadcast ``plant.step`` over every node, action
-    and atom at once: the reference for ``from_plant``, which steps one
-    action at a time."""
-    actions = np.asarray(actions, dtype=float)
-    x1n, x2n, _, _ = plant.step(grid.node_x1[:, None, None], grid.node_x2[:, None, None],
-                                actions[:, None], dm.w_r, dm.w_e, p)
-    x1n = np.clip(x1n, grid.x1_nodes[0], grid.x1_nodes[-1])
-    x2n = np.clip(x2n, grid.x2_nodes[0], grid.x2_nodes[-1])
-    return riskdp._Tables(grid, actions, dm, costs, grid.nearest(x1n, x2n))
+    """The tables of ``broadcast_succ``: the reference for
+    ``from_plant``, which steps one action at a time."""
+    return riskdp._Tables(grid, np.asarray(actions, dtype=float), dm, costs,
+                          broadcast_succ(grid, actions, dm, p))
 
 
 def _oracle_inputs():
@@ -393,15 +473,17 @@ class TestOneActionAtATime:
     """``from_plant`` projects the successors one action at a time, with
     the tables of the one broadcast projection."""
 
-    @pytest.mark.parametrize("inputs", [_one_second_inputs, _fast_inputs, _oracle_inputs],
-                             ids=["41x41-1s", "41x41-60s", "oracle-3x1"])
+    @pytest.mark.parametrize("inputs", [_one_second_inputs, _fast_inputs, _oracle_inputs,
+                                        spread_inputs],
+                             ids=["41x41-1s", "41x41-60s", "oracle-3x1", "41x41-300s"])
     def test_same_tables(self, inputs):
         args = inputs()
         ours, ref = riskdp._Tables.from_plant(*args), broadcast_tables(*args)
         for name in ("rows", "row_of", "cand", "cand_row"):
             assert getattr(ours, name).dtype == getattr(ref, name).dtype, name
             assert np.array_equal(getattr(ours, name), getattr(ref, name)), name
-        assert np.array_equal(dense_succ(ours), dense_succ(ref))
+        grid, actions, dm, _, p = args
+        assert np.array_equal(dense_succ(ours), broadcast_succ(grid, actions, dm, p))
 
     def test_one_step_per_action(self, monkeypatch):
         calls = []
